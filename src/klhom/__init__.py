@@ -8,12 +8,12 @@ criterion, and attempts homogeneity certificates through a staged rewriting
 search.  Every structural shortcut is cross-validated against brute-force
 oracles in the test suite and the ``verify`` command.
 """
-from .classifier import (ClassificationReport, ClassifierConfig, ConsistencyError,
-                         InhomogeneityWitness, Verdict, VerdictKind, classify,
-                         necessary_condition_fails, sweep,
+from .classifier import (ClassificationReport, ClassifierConfig, InhomogeneityWitness,
+                         Verdict, VerdictKind, classify, necessary_condition_fails, sweep,
                          verify_inhomogeneity_witness, working_generators)
 from .divisibility import (DivisibilityWitness, exists_dividing_term_structural,
                            monomial_set_difference, term_divides)
+from .errors import ConsistencyError
 from .minors import (GeneratorSet, MinorSpec, enumerate_defining_minors,
                      pruned_defining_minors, relevant_rows_for_column,
                      required_minor_size, si_sequence_raw)

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .divisibility import exists_dividing_term_structural, term_divides
+from .errors import ConsistencyError
 from .minors import GeneratorSet, MinorSpec, enumerate_defining_minors, pruned_defining_minors
 from .mutation import MutationConfig, run_mutation, verify_certificate
 from .paths import (determinant, homogeneous_components, is_inhomogeneous_det,
@@ -41,10 +42,6 @@ from .permutations import (Permutation, all_permutations, avoids_pattern, domina
                            is_longest_element, rank_matrix)
 from .polynomials import Monomial, Polynomial, monomials_of
 from .zmatrix import ZMatrix, build_z, cell_name
-
-
-class ConsistencyError(RuntimeError):
-    """A structural verdict contradicted an independently proved fact."""
 
 
 class VerdictKind(Enum):
@@ -266,7 +263,9 @@ def _core_verdict(v: Permutation, w: Permutation, z: ZMatrix, keep: list[MinorSp
             if not outcome.terminated:
                 reason = f"{outcome.status}@stage{outcome.stage}:{outcome.reason}"
                 return Verdict(VerdictKind.UNDETERMINED, reason=reason), len(inhom)
-            assert verify_certificate(outcome, comp, gen_polys)
+            if not verify_certificate(outcome, comp, gen_polys):
+                raise ConsistencyError(
+                    f"rewriting certificate for ({v}, {w}) failed re-verification")
             certificates.append(ComponentCertificate(
                 m, next(iter(comp.degrees())), outcome.certificate))
     return Verdict(VerdictKind.MUTATION_CERTIFIED_HOMOGENEOUS,

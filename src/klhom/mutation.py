@@ -12,6 +12,8 @@ cancel one of its existing terms.
 
 Divisor choices are genuine choice points: a greedy pick can fail where
 another succeeds, so the driver backtracks over them within a node budget.
+A node's frontier (the terms that survive cancellation, with the admissible
+divisors of each) is computed once per node and shared by all its children.
 Termination is certified by the multipliers and re-checked exactly;
 everything else is reported as undetermined, never as a homogeneity claim.
 """
@@ -20,8 +22,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
-from .polynomials import Coeff, Mono, Polynomial, mono_div, mono_divides, mono_mul
+from .errors import ConsistencyError
+from .polynomials import (Coeff, Mono, Polynomial, mono_div, mono_divides, mono_mul,
+                          mono_sort_key)
 
 TERMINATED = "terminated"
 ABRUPT_STOP = "abrupt_stop"
@@ -82,7 +87,23 @@ class MutationState:
     multipliers: tuple[tuple[tuple[Mono, Coeff], ...], ...]
     outstanding: tuple[StageTerm, ...]
     stage: int
-    trace: tuple[str, ...] = ()
+
+    @cached_property
+    def _frontier(self) -> MutationOutcome | tuple[tuple[StageTerm, list], ...]:
+        """Each surviving term with its admissible divisors, or the outcome
+        that ends the node; the state is immutable, so this is computed once."""
+        alive = cancel_outstanding(self.outstanding)
+        if not alive:
+            return MutationOutcome(TERMINATED, self.stage,
+                                   certificate=self.multiplier_polys())
+        frontier = []
+        for term in alive:
+            divs = _divisors_for(term.mono, self.gens, exclude_term=term.tail)
+            if not divs:
+                return MutationOutcome(ABRUPT_STOP, self.stage,
+                                       reason="a generated term has no admissible divisor")
+            frontier.append((term, divs))
+        return tuple(frontier)
 
     def multiplier_polys(self) -> tuple[Polynomial, ...]:
         return tuple(Polynomial(dict(m)) for m in self.multipliers)
@@ -97,14 +118,6 @@ class MutationState:
         assert total == rhs, "bookkeeping identity violated"
 
 
-def _mono_key(m: Mono):
-    return (sum(e for _, e in m), m)
-
-
-def _gen_terms(g: Polynomial) -> list[tuple[Mono, Coeff]]:
-    return list(g.terms())
-
-
 def _divisors_for(mono: Mono, gens: tuple[Polynomial, ...],
                   exclude_gen: int | None = None,
                   exclude_term: tuple[int, Mono] | None = None) -> list[tuple[int, Mono, Coeff]]:
@@ -113,7 +126,7 @@ def _divisors_for(mono: Mono, gens: tuple[Polynomial, ...],
     for gi, g in enumerate(gens):
         if gi == exclude_gen:
             continue
-        for gm, gc in _gen_terms(g):
+        for gm, gc in g.terms():
             if exclude_term is not None and exclude_term == (gi, gm):
                 continue
             if mono_divides(gm, mono):
@@ -132,7 +145,7 @@ def _add_multiplier(multipliers, gi: int, mono: Mono, coeff: Coeff):
     else:
         table[mono] = coeff
     new = list(multipliers)
-    new[gi] = tuple(sorted(table.items(), key=lambda kv: _mono_key(kv[0])))
+    new[gi] = tuple(sorted(table.items(), key=lambda kv: mono_sort_key(kv[0])))
     return tuple(new)
 
 
@@ -153,7 +166,7 @@ def _spawn(multipliers, gens, o_coeff: Coeff, o_mono: Mono,
     if multipliers is None:
         return None
     new_terms = []
-    for om, oc in _gen_terms(gens[gi]):
+    for om, oc in gens[gi].terms():
         if om == gm:
             continue
         new_terms.append(StageTerm(
@@ -168,17 +181,40 @@ def _spawn(multipliers, gens, o_coeff: Coeff, o_mono: Mono,
 
 
 def cancel_outstanding(outstanding: tuple[StageTerm, ...]) -> tuple[StageTerm, ...]:
-    """Remove exact opposite pairs (equal monomial, opposite coefficient)."""
-    remaining = sorted(outstanding, key=lambda t: (_mono_key(t.mono), str(t.coeff)))
+    """Remove exact opposite pairs (equal monomial, opposite coefficient).
+
+    Terms are taken in (monomial, coefficient text) order; each one cancels
+    the earliest live opposite term of its monomial, and the survivors keep
+    that order (their tails steer the next step).
+    """
+    remaining = sorted(outstanding, key=lambda t: (mono_sort_key(t.mono), str(t.coeff)))
     alive: list[StageTerm] = []
-    for term in remaining:
-        for idx, other in enumerate(alive):
-            if other.mono == term.mono and other.coeff == -term.coeff:
-                del alive[idx]
-                break
-        else:
-            alive.append(term)
+    for _, run in itertools.groupby(remaining, key=lambda t: t.mono):
+        run = list(run)
+        live = [True] * len(run)
+        waiting: dict[Coeff, list[int]] = {}  # coefficient -> live positions
+        for pos, term in enumerate(run):
+            opposite = waiting.get(-term.coeff)
+            if opposite:
+                live[opposite.pop(0)] = live[pos] = False
+            else:
+                waiting.setdefault(term.coeff, []).append(pos)
+        alive.extend(term for term, keep in zip(run, live) if keep)
     return tuple(alive)
+
+
+def _target_options(target: Polynomial, gens: tuple[Polynomial, ...],
+                    target_gen_index: int | None) -> MutationOutcome | list[list]:
+    """The external divisors of each target term, or the outcome that ends
+    stage 0 when some term has none."""
+    options = []
+    for mono, _ in target.terms():
+        divs = _divisors_for(mono, gens, exclude_gen=target_gen_index)
+        if not divs:
+            return MutationOutcome(ABRUPT_STOP, 0,
+                                   reason="no external divisor for a target term")
+        options.append(divs)
+    return options
 
 
 def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, ...],
@@ -195,18 +231,13 @@ def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
         multipliers=tuple(() for _ in gens),
         outstanding=(), stage=0,
     )
-    terms = list(target.terms())
-    options = []
-    for mono, _ in terms:
-        divs = _divisors_for(mono, gens, exclude_gen=target_gen_index)
-        if not divs:
-            return MutationOutcome(ABRUPT_STOP, 0,
-                                   reason="no external divisor for a target term")
-        options.append(divs)
-    picked = choices if choices is not None else (0,) * len(terms)
+    options = _target_options(target, gens, target_gen_index)
+    if isinstance(options, MutationOutcome):
+        return options
+    picked = choices if choices is not None else (0,) * len(options)
     outstanding: list[StageTerm] = []
     multipliers = state.multipliers
-    for (mono, coeff), divs, idx in zip(terms, options, picked):
+    for (mono, coeff), divs, idx in zip(target.terms(), options, picked):
         gi, gm, gc = divs[idx]
         spawned = _spawn(multipliers, gens, coeff, mono, (mono,), (),
                          gi, gm, gc, stage=0, negate=False)
@@ -222,22 +253,14 @@ def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
 def mutation_step(state: MutationState, cfg: MutationConfig = MutationConfig(),
                   choices: tuple[int, ...] | None = None) -> MutationState | MutationOutcome:
     """One stage: cancel, then divide every surviving generated term."""
-    alive = cancel_outstanding(state.outstanding)
-    if not alive:
-        return MutationOutcome(TERMINATED, state.stage,
-                               certificate=state.multiplier_polys())
-    options = []
-    for term in alive:
-        divs = _divisors_for(term.mono, state.gens, exclude_term=term.tail)
-        if not divs:
-            return MutationOutcome(ABRUPT_STOP, state.stage,
-                                   reason="a generated term has no admissible divisor")
-        options.append(divs)
-    picked = choices if choices is not None else (0,) * len(alive)
+    frontier = state._frontier
+    if isinstance(frontier, MutationOutcome):
+        return frontier
+    picked = choices if choices is not None else (0,) * len(frontier)
     multipliers = state.multipliers
     outstanding: list[StageTerm] = []
     next_stage = state.stage + 1
-    for term, divs, idx in zip(alive, options, picked):
+    for (term, divs), idx in zip(frontier, picked):
         gi, gm, gc = divs[idx]
         spawned = _spawn(multipliers, state.gens, term.coeff, term.mono,
                          term.numerator, term.denominator,
@@ -261,9 +284,9 @@ def _stronger(a: MutationOutcome | None, b: MutationOutcome) -> MutationOutcome:
 
 def _trivial_scaling(target: Polynomial, gens: tuple[Polynomial, ...]):
     """target == c * gens[j] for a scalar c, if such a pair exists."""
-    t_terms = list(target.terms())
+    t_terms = target.terms()
     for j, g in enumerate(gens):
-        g_terms = list(g.terms())
+        g_terms = g.terms()
         if len(g_terms) != len(t_terms) or g.is_zero:
             continue
         c = Fraction(t_terms[0][1]) / g_terms[0][1]
@@ -294,53 +317,39 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
 
     nodes = [0]
 
-    def explore_state(state: MutationState) -> MutationOutcome:
-        if state.stage >= cfg.depth_limit:
-            return MutationOutcome(DEPTH_EXHAUSTED, state.stage)
-        alive = cancel_outstanding(state.outstanding)
-        if not alive:
-            return MutationOutcome(TERMINATED, state.stage,
-                                   certificate=state.multiplier_polys())
-        option_counts = []
-        for term in alive:
-            divs = _divisors_for(term.mono, state.gens, exclude_term=term.tail)
-            if not divs:
-                return MutationOutcome(ABRUPT_STOP, state.stage,
-                                       reason="a generated term has no admissible divisor")
-            option_counts.append(len(divs))
+    def explore(counts: list[int], child, stage: int) -> MutationOutcome:
+        """Try every choice vector over ``counts`` in order, within the budget."""
         best: MutationOutcome | None = None
-        for vector in itertools.product(*(range(c) for c in option_counts)):
+        for vector in itertools.product(*(range(c) for c in counts)):
             nodes[0] += 1
             if nodes[0] > cfg.branch_budget:
                 break
-            nxt = mutation_step(state, cfg, choices=vector)
+            nxt = child(vector)
             out = nxt if isinstance(nxt, MutationOutcome) else explore_state(nxt)
             best = _stronger(best, out)
             if best.terminated:
-                return best
-        return best if best is not None else MutationOutcome(DEPTH_EXHAUSTED, state.stage)
+                break
+        return best if best is not None else MutationOutcome(DEPTH_EXHAUSTED, stage)
 
-    terms = list(target.terms())
-    option_counts = []
-    for mono, _ in terms:
-        divs = _divisors_for(mono, gens, exclude_gen=target_gen_index)
-        if not divs:
-            return MutationOutcome(ABRUPT_STOP, 0,
-                                   reason="no external divisor for a target term")
-        option_counts.append(len(divs))
-    best: MutationOutcome | None = None
-    for vector in itertools.product(*(range(c) for c in option_counts)):
-        nodes[0] += 1
-        if nodes[0] > cfg.branch_budget:
-            break
-        st = stage0_setup(target, gens, target_gen_index, choices=vector)
-        out = st if isinstance(st, MutationOutcome) else explore_state(st)
-        best = _stronger(best, out)
-        if best.terminated:
-            break
-    best = best if best is not None else MutationOutcome(DEPTH_EXHAUSTED, 0)
-    if best.terminated:
-        assert verify_certificate(best, target, gens)
+    def explore_state(state: MutationState) -> MutationOutcome:
+        if state.stage >= cfg.depth_limit:
+            return MutationOutcome(DEPTH_EXHAUSTED, state.stage)
+        frontier = state._frontier
+        if isinstance(frontier, MutationOutcome):
+            return frontier
+        return explore([len(divs) for _, divs in frontier],
+                       lambda vector: mutation_step(state, cfg, choices=vector),
+                       state.stage)
+
+    options = _target_options(target, gens, target_gen_index)
+    if isinstance(options, MutationOutcome):
+        return options
+    best = explore([len(divs) for divs in options],
+                   lambda vector: stage0_setup(target, gens, target_gen_index,
+                                               choices=vector),
+                   0)
+    if best.terminated and not verify_certificate(best, target, gens):
+        raise ConsistencyError("a rewriting certificate failed its exact re-check")
     return best
 
 

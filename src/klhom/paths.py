@@ -4,7 +4,7 @@ Path expansion of minors: determinants, singularity, and inhomogeneity.
 A path of a p x p minor picks one entry per column, all rows distinct; a
 nonzero path avoids forced zeros.  The determinant is the signed sum over
 nonzero paths, and distinct nonzero paths never share a variable set, so no
-cancellation can occur (asserted during assembly).
+cancellation can occur (checked during assembly).
 
 All structural tests below work from the pivot pattern alone: an entry in
 bottom-indexed row i, column j is nonzero exactly when it is not above the 1
@@ -24,6 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
+from .errors import ConsistencyError
 from .minors import MinorSpec
 from .permutations import Permutation
 from .polynomials import Monomial, Polynomial
@@ -103,7 +104,8 @@ def determinant(m: MinorSpec, z: ZMatrix) -> Polynomial:
         mono = path_monomial(m, z, path)
         key = mono.as_mono()
         # distinct nonzero paths always carry distinct variable sets
-        assert key not in terms, f"cancelling paths in {m}: {path}"
+        if key in terms:
+            raise ConsistencyError(f"cancelling paths in {m}: {path}")
         terms[key] = mono.sign
     return Polynomial(terms)
 

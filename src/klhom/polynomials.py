@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable
 
 Var = Hashable
 Mono = tuple[tuple[Var, int], ...]
@@ -90,7 +90,7 @@ def mono_sort_key(m: Mono):
 class Polynomial:
     """An immutable exact polynomial, stored as monomial -> coefficient."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_order")
 
     def __init__(self, terms: dict[Mono, Coeff] | None = None):
         cleaned = {}
@@ -101,6 +101,8 @@ class Polynomial:
                     cleaned[m] = c
         self._terms = cleaned
         self._hash: int | None = None
+        # canonical term order, filled on first use; not part of the value
+        self._order: tuple[tuple[Mono, Coeff], ...] | None = None
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -121,10 +123,12 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Mono, Coeff]]:
+    def terms(self) -> tuple[tuple[Mono, Coeff], ...]:
         """Terms in canonical order (descending degree, then variable order)."""
-        for m in sorted(self._terms, key=mono_sort_key, reverse=True):
-            yield m, self._terms[m]
+        if self._order is None:
+            self._order = tuple((m, self._terms[m]) for m in
+                                sorted(self._terms, key=mono_sort_key, reverse=True))
+        return self._order
 
     def coeff(self, m: Mono) -> Coeff:
         return self._terms.get(m, 0)

@@ -1,10 +1,17 @@
+import importlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from klhom.classifier import (CSV_HEADER, ClassifierConfig, VerdictKind, classify,
-                              necessary_condition_fails, necessary_condition_fails_abstract,
-                              sweep, verify_inhomogeneity_witness, working_generators)
+import klhom
+from klhom.classifier import (CSV_HEADER, ClassifierConfig, ConsistencyError, VerdictKind,
+                              classify, necessary_condition_fails,
+                              necessary_condition_fails_abstract, sweep,
+                              verify_inhomogeneity_witness, working_generators)
 from klhom.minors import GeneratorSet
 from klhom.oracle import laplace_determinant
 from klhom.paths import homogeneous_components, is_singular
@@ -173,6 +180,52 @@ def _avoids(p, pattern):
         if tuple(order.index(x) + 1 for x in vals) == pattern:
             return False
     return True
+
+
+# classify(1234, 2143) is certified by the rewriting search; each module
+# re-checks the certificate it hands on
+GUARDED_MODULES = ["klhom.classifier", "klhom.mutation"]
+
+GUARD_SCRIPT = """
+import importlib, sys
+from klhom import ConsistencyError, Permutation, classify
+for name in sys.argv[1:]:
+    module = importlib.import_module(name)
+    real = module.verify_certificate
+    module.verify_certificate = lambda *args: False
+    try:
+        classify(Permutation.parse("1234"), Permutation.parse("2143"))
+        print(name, "returned")
+    except ConsistencyError:
+        print(name, "raised")
+    module.verify_certificate = real
+print("optimize", sys.flags.optimize)
+"""
+
+
+class TestCertificateGuards:
+    def test_consistency_error_is_one_class(self):
+        from klhom.errors import ConsistencyError as shared
+        assert ConsistencyError is shared is klhom.ConsistencyError
+
+    @pytest.mark.parametrize("module", GUARDED_MODULES)
+    def test_failed_recheck_raises(self, monkeypatch, module):
+        assert classify(P("1234"), P("2143")).verdict.kind is \
+            VerdictKind.MUTATION_CERTIFIED_HOMOGENEOUS
+        monkeypatch.setattr(importlib.import_module(module), "verify_certificate",
+                            lambda *args: False)
+        with pytest.raises(ConsistencyError):
+            classify(P("1234"), P("2143"))
+
+    def test_failed_recheck_raises_under_optimize(self):
+        # python -O strips assert statements; the guards must not be asserts
+        src = str(Path(klhom.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", GUARD_SCRIPT, *GUARDED_MODULES],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n") == [f"{m} raised" for m in GUARDED_MODULES] + \
+            ["optimize 1", ""]
 
 
 class TestScale:

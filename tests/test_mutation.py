@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from klhom.classifier import VerdictKind, working_generators
 from klhom.mutation import (ABRUPT_STOP, DEPTH_EXHAUSTED, TERMINATED, MutationConfig,
@@ -7,7 +11,7 @@ from klhom.mutation import (ABRUPT_STOP, DEPTH_EXHAUSTED, TERMINATED, MutationCo
 from klhom.oracle import laplace_determinant
 from klhom.paths import homogeneous_components
 from klhom.permutations import Permutation
-from klhom.polynomials import Polynomial, mono_from_vars
+from klhom.polynomials import Polynomial, mono_from_vars, mono_sort_key
 
 
 def poly(*terms):
@@ -163,3 +167,38 @@ class TestStageTerm:
                       numerator=(mono_from_vars(["x1"]),),
                       denominator=(mono_from_vars(["x2"]),),
                       tail=(0, mono_from_vars(["x2"])), stage=0)
+
+
+def cancel_by_scan(outstanding):
+    """Reference for cancel_outstanding: the quadratic scan it replaced."""
+    remaining = sorted(outstanding, key=lambda t: (mono_sort_key(t.mono), str(t.coeff)))
+    alive = []
+    for term in remaining:
+        for idx, other in enumerate(alive):
+            if other.mono == term.mono and other.coeff == -term.coeff:
+                del alive[idx]
+                break
+        else:
+            alive.append(term)
+    return tuple(alive)
+
+
+CANCEL_MONOS = [mono_from_vars(vs) for vs in (["x1"], ["x1", "x2"], ["x2"])]
+# Fraction(2) == 2 and str(Fraction(2)) == "2": the two tie in the sort
+CANCEL_COEFFS = [1, -1, 2, -2, Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(-1, 2)]
+term_specs = st.lists(st.tuples(st.integers(0, len(CANCEL_MONOS) - 1),
+                                st.sampled_from(CANCEL_COEFFS)), max_size=16)
+
+
+class TestCancelOutstanding:
+    @given(term_specs)
+    @example([(0, 2), (0, Fraction(2)), (0, -2), (1, 1), (0, Fraction(-2)), (0, -2),
+              (1, -1), (1, 1), (0, 2)])
+    def test_matches_the_quadratic_scan(self, spec):
+        # each term's stage is its input position, so the comparison sees
+        # which of several equal terms survived, not just their values
+        terms = tuple(StageTerm(coeff=c, mono=CANCEL_MONOS[i], numerator=(CANCEL_MONOS[i],),
+                                denominator=(), tail=(0, CANCEL_MONOS[i]), stage=pos)
+                      for pos, (i, c) in enumerate(spec))
+        got = cancel_outstanding(terms)
+        assert [t.stage for t in got] == [t.stage for t in cancel_by_scan(terms)]

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import klhom.paths
+from klhom.errors import ConsistencyError
 from klhom.minors import MinorSpec
 from klhom.oracle import brute_paths, laplace_determinant
 from klhom.paths import (delta_conditions_hold, determinant, enumerate_nonzero_paths,
@@ -10,7 +12,7 @@ from klhom.paths import (delta_conditions_hold, determinant, enumerate_nonzero_p
                          homogeneous_components, is_inhomogeneous_det, is_singular,
                          is_unit_determinant)
 from klhom.permutations import Permutation, all_permutations
-from klhom.polynomials import Polynomial, mono_from_vars
+from klhom.polynomials import Monomial, Polynomial, mono_from_vars
 from klhom.zmatrix import Cell, build_z
 
 P = Permutation.parse
@@ -259,3 +261,16 @@ class TestHomogeneousComponents:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             homogeneous_components(Polynomial.zero())
+
+
+def test_cancelling_paths_raise_consistency_error(monkeypatch):
+    # the lone minor of (123, 312) has two nonzero paths; forcing both onto
+    # one monomial must trip the guard, which python -O does not strip
+    v = P("123")
+    z = build_z(v)
+    minor = MinorSpec((1, 2), (1, 2))
+    assert len(enumerate_nonzero_paths(minor, z)) == 2
+    monkeypatch.setattr(klhom.paths, "path_monomial",
+                        lambda m, z, path: Monomial(1, frozenset({Cell(1, 1)})))
+    with pytest.raises(ConsistencyError):
+        determinant(minor, z)

@@ -5,12 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from klhom.polynomials import (Monomial, Polynomial, mono_div, mono_divides,
-                               mono_from_vars, mono_mul, monomials_of)
+                               mono_from_vars, mono_mul, mono_sort_key, monomials_of)
 from klhom.zmatrix import Cell
 
 variables = st.sampled_from(["x1", "x2", "x3", "x4"])
 monos = st.sets(variables, max_size=3).map(lambda s: mono_from_vars(s))
-polys = st.dictionaries(monos, st.integers(-4, 4), max_size=5).map(Polynomial)
+term_dicts = st.dictionaries(monos, st.integers(-4, 4), max_size=5)
+polys = term_dicts.map(Polynomial)
 
 
 class TestMonoOps:
@@ -73,6 +74,26 @@ class TestPolynomialAlgebra:
         assert Polynomial.constant(-1).is_unit_constant
         assert not Polynomial.constant(2).is_unit_constant
         assert not Polynomial({mono_from_vars(["x1"]): 1}).is_unit_constant
+
+
+class TestTermOrder:
+    @given(term_dicts)
+    def test_terms_match_a_fresh_sort(self, terms):
+        f = Polynomial(terms)
+        fresh = tuple(sorted(((m, c) for m, c in terms.items() if c),
+                             key=lambda mc: mono_sort_key(mc[0]), reverse=True))
+        assert f.terms() == fresh
+        assert f.terms() == fresh   # the cached order
+
+    @given(term_dicts)
+    def test_cached_order_is_not_part_of_the_value(self, terms):
+        cold = Polynomial(terms)
+        warm = Polynomial(dict(reversed(list(terms.items()))))
+        warm.terms()
+        assert warm == cold and cold == warm
+        assert hash(warm) == hash(cold)
+        cold.terms()
+        assert hash(warm) == hash(cold) and warm == cold
 
 
 class TestRendering:
