@@ -11,12 +11,11 @@ oracles in the test suite and the ``verify`` command.
 from .classifier import (ClassificationReport, ClassifierConfig, InhomogeneityWitness,
                          Verdict, VerdictKind, classify, necessary_condition_fails, sweep,
                          verify_inhomogeneity_witness, working_generators)
-from .divisibility import (DivisibilityWitness, exists_dividing_term_structural,
-                           monomial_set_difference, term_divides)
+from .divisibility import exists_dividing_term_structural, term_divides
 from .errors import ConsistencyError
-from .minors import (GeneratorSet, MinorSpec, enumerate_defining_minors,
-                     pruned_defining_minors, relevant_rows_for_column,
-                     required_minor_size, si_sequence_raw)
+from .minors import (GeneratorSet, MinorSpec, defining_minor_count,
+                     enumerate_defining_minors, pruned_defining_minors,
+                     relevant_rows_for_column, required_minor_size, si_sequence_raw)
 from .mutation import (MutationConfig, MutationOutcome, MutationState, StageTerm,
                        mutation_step, run_mutation, stage0_setup, verify_certificate)
 from .paths import (delta_conditions_hold, determinant, enumerate_nonzero_paths,
@@ -27,26 +26,23 @@ from .permutations import (Permutation, RankMatrix, all_permutations, avoids_pat
                            dominates, inverse, is_longest_element, rank_matrix,
                            rank_matrix_via_minima)
 from .polynomials import Monomial, Polynomial, monomials_of
-from .zmatrix import Cell, SouthwestWindow, ZEntry, ZMatrix, build_z, cell_name, \
-    format_grid, format_matrix, southwest
+from .zmatrix import Cell, ZEntry, ZMatrix, build_z, cell_name, format_grid, format_matrix
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Cell", "ClassificationReport", "ClassifierConfig", "ConsistencyError",
-    "DivisibilityWitness", "GeneratorSet", "InhomogeneityWitness", "MinorSpec",
-    "Monomial", "MutationConfig", "MutationOutcome", "MutationState", "Permutation",
-    "Polynomial", "RankMatrix", "SouthwestWindow", "StageTerm", "Verdict",
-    "VerdictKind", "ZEntry", "ZMatrix", "all_permutations", "avoids_pattern",
-    "build_z", "cell_name", "classify", "delta_conditions_hold", "determinant",
-    "dominates", "enumerate_defining_minors", "enumerate_nonzero_paths",
-    "exists_dividing_term_structural", "exists_nonzero_path_through",
-    "format_grid", "format_matrix", "has_zero_row_or_col",
-    "homogeneous_components", "inverse", "is_inhomogeneous_det",
-    "is_longest_element", "is_singular", "is_unit_determinant", "monomials_of",
-    "monomial_set_difference", "mutation_step", "necessary_condition_fails",
-    "pruned_defining_minors", "rank_matrix", "rank_matrix_via_minima",
-    "relevant_rows_for_column", "required_minor_size", "run_mutation",
-    "si_sequence_raw", "southwest", "stage0_setup", "sweep", "term_divides",
+    "GeneratorSet", "InhomogeneityWitness", "MinorSpec", "Monomial", "MutationConfig",
+    "MutationOutcome", "MutationState", "Permutation", "Polynomial", "RankMatrix",
+    "StageTerm", "Verdict", "VerdictKind", "ZEntry", "ZMatrix", "all_permutations",
+    "avoids_pattern", "build_z", "cell_name", "classify", "defining_minor_count",
+    "delta_conditions_hold", "determinant", "dominates", "enumerate_defining_minors",
+    "enumerate_nonzero_paths", "exists_dividing_term_structural",
+    "exists_nonzero_path_through", "format_grid", "format_matrix", "has_zero_row_or_col",
+    "homogeneous_components", "inverse", "is_inhomogeneous_det", "is_longest_element",
+    "is_singular", "is_unit_determinant", "monomials_of", "mutation_step",
+    "necessary_condition_fails", "pruned_defining_minors", "rank_matrix",
+    "rank_matrix_via_minima", "relevant_rows_for_column", "required_minor_size",
+    "run_mutation", "si_sequence_raw", "stage0_setup", "sweep", "term_divides",
     "verify_certificate", "verify_inhomogeneity_witness", "working_generators",
 ]

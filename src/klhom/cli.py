@@ -54,7 +54,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         print(json.dumps(rec, sort_keys=True))
     else:
         print(f"v={rec['v']} w={rec['w']}  verdict={rec['verdict']} ({rec['reason']})")
-        print(f"generators: {rec['gens_before']} enumerated, "
+        print(f"generators: {rec['gens_before']} defining, "
               f"{rec['gens_after']} kept after pruning "
               f"({rec['n_singular']} singular dropped), "
               f"{rec['n_inhomogeneous']} inhomogeneous")

@@ -12,8 +12,6 @@ necessary filter before the search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .minors import MinorSpec
 from .paths import _nonzero, _pivots
 from .permutations import Permutation
@@ -24,23 +22,6 @@ from .zmatrix import Cell
 def term_divides(a: Monomial, b: Monomial) -> bool:
     """Setwise containment of the variable cells (cells never repeat)."""
     return a.vars_ <= b.vars_
-
-
-def monomial_set_difference(a: Monomial, b: Monomial) -> Monomial:
-    """The variables of a that b lacks, with positive sign (callers own signs)."""
-    return Monomial(1, a.vars_ - b.vars_)
-
-
-@dataclass(frozen=True)
-class DivisibilityWitness:
-    divisor_minor: MinorSpec
-    divisor_term: Monomial
-    dividend_minor: MinorSpec
-    dividend_term: Monomial
-
-    def __post_init__(self) -> None:
-        if not term_divides(self.divisor_term, self.dividend_term):
-            raise ValueError("witness does not divide")
 
 
 def is_subminor(a: MinorSpec, b: MinorSpec) -> bool:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import comb
 
 from .permutations import Permutation, rank_matrix
 
@@ -119,6 +121,26 @@ def enumerate_defining_minors(v: Permutation, w: Permutation) -> GeneratorSet:
     n = w.n
     windows = [(s, t) for t in range(1, n + 1) for s in range(1, n + 1)]
     return _collect(v, w, windows)
+
+
+@lru_cache(maxsize=None)
+def defining_minor_count(w: Permutation) -> int:
+    """``len(enumerate_defining_minors(v, w))`` for any v, without building them.
+
+    The minors depend on w alone.  Write r for the rank matrix of w.  A p x p
+    minor with largest row a and largest column b is defining exactly when
+    some window (s, t) with s <= n-a+1 and t >= b has r(s, t) = p-1 (such a
+    window also fits the minor).  Over that block of windows r falls from
+    r(1, n) = n to r(n-a+1, b), and neighbouring entries differ by 0 or 1, so
+    it takes every value in between.  The sizes are therefore the p from
+    r(n-a+1, b)+1 up to min(a, b), each with comb(a-1, p-1) row sets and
+    comb(b-1, p-1) column sets.
+    """
+    n = w.n
+    r = rank_matrix(w)
+    return sum(comb(a - 1, p - 1) * comb(b - 1, p - 1)
+               for a in range(1, n + 1) for b in range(1, n + 1)
+               for p in range(r.entry(n - a + 1, b) + 1, min(a, b) + 1))
 
 
 def si_sequence_raw(w: Permutation, t: int) -> list[int]:

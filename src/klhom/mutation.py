@@ -40,6 +40,12 @@ class MutationConfig:
     depth_limit: int = 8
     branch_budget: int = 256
 
+    def __post_init__(self) -> None:
+        if self.depth_limit < 0:
+            raise ValueError(f"mutation depth must be >= 0, got {self.depth_limit}")
+        if self.branch_budget < 1:
+            raise ValueError(f"branch budget must be >= 1, got {self.branch_budget}")
+
 
 @dataclass(frozen=True)
 class StageTerm:

@@ -21,6 +21,15 @@ from .zmatrix import Cell, ZMatrix
 MAX_LAPLACE = 8
 
 
+def _entry_poly(z: ZMatrix, i: int, j: int) -> Polynomial:
+    e = z.entry(Cell(i, j))
+    if e.is_zero:
+        return Polynomial.zero()
+    if e.is_one:
+        return Polynomial.constant(1)
+    return Polynomial({mono_from_vars([Cell(i, j)]): 1})
+
+
 def laplace_determinant(m: MinorSpec, z: ZMatrix) -> Polynomial:
     """Cofactor expansion along the first (lowest) row, exact arithmetic.
 
@@ -30,20 +39,12 @@ def laplace_determinant(m: MinorSpec, z: ZMatrix) -> Polynomial:
     if m.p > MAX_LAPLACE:
         raise ValueError(f"minor of size {m.p} exceeds the oracle guard {MAX_LAPLACE}")
 
-    def entry_poly(i: int, j: int) -> Polynomial:
-        e = z.entry(Cell(i, j))
-        if e.is_zero:
-            return Polynomial.zero()
-        if e.is_one:
-            return Polynomial.constant(1)
-        return Polynomial({mono_from_vars([Cell(i, j)]): 1})
-
     def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
         if len(rows) == 1:
-            return entry_poly(rows[0], cols[0])
+            return _entry_poly(z, rows[0], cols[0])
         acc = Polynomial.zero()
         for b, j in enumerate(cols):
-            e = entry_poly(rows[0], j)
+            e = _entry_poly(z, rows[0], j)
             if e.is_zero:
                 continue
             sub = det(rows[1:], cols[:b] + cols[b + 1:])
@@ -125,15 +126,6 @@ def reduce_over_generators(m: MinorSpec, kept: GeneratorSet,
     Raises :class:`ReductionError` if the expansion bottoms out first.
     """
     kept_keys = {(g.rows, g.cols) for g in kept.minors}
-
-    def entry_poly(i: int, j: int) -> Polynomial:
-        e = z.entry(Cell(i, j))
-        if e.is_zero:
-            return Polynomial.zero()
-        if e.is_one:
-            return Polynomial.constant(1)
-        return Polynomial({mono_from_vars([Cell(i, j)]): 1})
-
     combo: dict[tuple, Polynomial] = {}
 
     def rec(rows: tuple[int, ...], cols: tuple[int, ...], coeff: Polynomial) -> None:
@@ -145,7 +137,7 @@ def reduce_over_generators(m: MinorSpec, kept: GeneratorSet,
             raise ReductionError(f"reduction of {m} bottomed out")
         top = len(rows) - 1
         for b, j in enumerate(cols):
-            e = entry_poly(rows[top], j)
+            e = _entry_poly(z, rows[top], j)
             if e.is_zero:
                 continue
             sign = (-1) ** (top + b)
@@ -321,17 +313,22 @@ def check_divisibility(n: int) -> OracleReport:
 
 
 def check_discard_rules(n: int) -> OracleReport:
-    """Empty iff order-reversing; unit iff domination fails iff a +-1 generator."""
-    from .minors import enumerate_defining_minors, pruned_defining_minors
+    """Empty iff order-reversing; the closed-form minor count matches the
+    enumeration; unit iff domination fails iff a +-1 generator."""
+    from .minors import defining_minor_count, enumerate_defining_minors, pruned_defining_minors
     from .permutations import all_permutations, dominates, is_longest_element, rank_matrix
     from .zmatrix import build_z
 
     rep = OracleReport()
     v0 = next(all_permutations(n))
     for w in all_permutations(n):
-        rep.checked += 1
-        if (len(enumerate_defining_minors(v0, w)) == 0) != is_longest_element(w):
+        rep.checked += 2
+        count = len(enumerate_defining_minors(v0, w))
+        if (count == 0) != is_longest_element(w):
             rep.add("empty-ideal", f"w={w}")
+        closed_form = defining_minor_count(w)
+        if closed_form != count:
+            rep.add("minor-count", f"w={w}: {closed_form} vs {count}")
     if n > 4:
         return rep
     for v in all_permutations(n):

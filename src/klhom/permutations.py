@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,6 @@ class Permutation:
         if self.n < 10:
             return "".join(str(x) for x in self.word)
         return ",".join(str(x) for x in self.word)
-
-    @staticmethod
-    def from_word(word: Sequence[int]) -> "Permutation":
-        return Permutation(tuple(word))
 
     @staticmethod
     def parse(text: str) -> "Permutation":

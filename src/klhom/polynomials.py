@@ -170,9 +170,6 @@ class Polynomial:
     def scaled(self, c: Coeff) -> "Polynomial":
         return Polynomial({m: c * v for m, v in self._terms.items()})
 
-    def term_scaled(self, c: Coeff, m: Mono) -> "Polynomial":
-        return Polynomial({mono_mul(m, mm): c * cc for mm, cc in self._terms.items()})
-
     def degrees(self) -> set[int]:
         return {mono_degree(m) for m in self._terms}
 
@@ -228,9 +225,6 @@ class Monomial:
 
     def as_mono(self) -> Mono:
         return mono_from_vars(self.vars_)
-
-    def as_polynomial(self) -> Polynomial:
-        return Polynomial({self.as_mono(): self.sign})
 
     def __str__(self) -> str:
         body = _mono_str(self.as_mono())

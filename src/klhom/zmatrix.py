@@ -109,33 +109,6 @@ def build_z(v: Permutation) -> ZMatrix:
     return ZMatrix(v, pivot_row_of_col, tuple(pivot_col_of_row))
 
 
-@dataclass(frozen=True)
-class SouthwestWindow:
-    """The bottom-left (n-s+1) x t block: rows 1..n-s+1, columns 1..t."""
-
-    s: int
-    t: int
-    n: int
-
-    @property
-    def height(self) -> int:
-        return self.n - self.s + 1
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        return tuple(range(1, self.height + 1))
-
-    @property
-    def cols(self) -> tuple[int, ...]:
-        return tuple(range(1, self.t + 1))
-
-
-def southwest(z: ZMatrix, s: int, t: int) -> SouthwestWindow:
-    if not (1 <= s <= z.n and 1 <= t <= z.n):
-        raise ValueError(f"window ({s},{t}) out of range for n={z.n}")
-    return SouthwestWindow(s, t, z.n)
-
-
 def format_grid(z: ZMatrix, rows: tuple[int, ...] | None = None,
                 cols: tuple[int, ...] | None = None) -> list[list[str]]:
     """Entry tokens for the selected rows/cols, top row first."""

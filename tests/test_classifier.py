@@ -9,21 +9,14 @@ import pytest
 
 import klhom
 from klhom.classifier import (CSV_HEADER, ClassifierConfig, ConsistencyError, VerdictKind,
-                              classify, necessary_condition_fails,
-                              necessary_condition_fails_abstract, sweep,
+                              classify, necessary_condition_fails, sweep,
                               verify_inhomogeneity_witness, working_generators)
-from klhom.minors import GeneratorSet
+from klhom.minors import GeneratorSet, enumerate_defining_minors
 from klhom.oracle import laplace_determinant
 from klhom.paths import homogeneous_components, is_singular
 from klhom.permutations import Permutation, all_permutations
-from klhom.polynomials import Polynomial, mono_from_vars
 P = Permutation.parse
 NO_SHORTCUT = ClassifierConfig(pattern_shortcut=False)
-
-
-def poly(*terms):
-    return Polynomial.from_terms(
-        (coeff, mono_from_vars(vars_)) for coeff, *vars_ in terms)
 
 
 def brute_witness_exists(v, w):
@@ -43,19 +36,6 @@ def brute_witness_exists(v, w):
 
 
 class TestNecessaryCondition:
-    def test_harness_example_has_no_witness(self):
-        # f3's cubic component is divisible by f2, so the condition holds
-        gens = [poly((1, "x1", "x2")), poly((1, "x2", "x3")),
-                poly((1, "x1", "x3"), (1, "x2", "x3", "x4"))]
-        assert necessary_condition_fails_abstract(gens) is None
-
-    def test_lone_inhomogeneous_generator_witnesses(self):
-        gens = [poly((1, "x1", "x3"), (1, "x2", "x3", "x4"))]
-        hit = necessary_condition_fails_abstract(gens)
-        assert hit is not None
-        index, comps = hit
-        assert index == 0 and [d for d, _ in comps] == [3, 2]
-
     def test_matches_expansion_scan_on_s4(self, s4_perms):
         for v in s4_perms:
             for w in s4_perms:
@@ -100,6 +80,10 @@ class TestClassify:
         unaudited = classify(P("123"), P("312"),
                              ClassifierConfig(audit_pattern=False))
         assert unaudited.verdict.kind is VerdictKind.KNOWN_HOMOGENEOUS
+
+    def test_gens_before_counts_the_enumerated_minors(self, s4_reports_no_shortcut):
+        for (v, w), report in s4_reports_no_shortcut.items():
+            assert report.gens_before == len(enumerate_defining_minors(v, w)), f"v={v} w={w}"
 
     def test_witnesses_reverify(self, s4_reports_no_shortcut):
         seen = 0

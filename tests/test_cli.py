@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from klhom.cli import main
 
 
@@ -39,6 +41,12 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["verdict"] == "undetermined"
 
+    def test_negative_mutation_depth_is_invalid(self, capsys):
+        code, _, err = run(capsys, "classify", "--v", "1234", "--w", "2143",
+                           "--mutation-depth", "-1")
+        assert code == 2
+        assert "mutation depth" in err
+
 
 class TestSweep:
     def test_csv_output(self, capsys, tmp_path):
@@ -49,6 +57,12 @@ class TestSweep:
         lines = out_file.read_text().splitlines()
         assert lines[0] == "v,w,verdict,digest,gens_before,gens_after,wall_ms"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_nonpositive_workers_is_invalid(self, capsys, workers):
+        code, _, err = run(capsys, "sweep", "--n", "2", "--workers", workers)
+        assert code == 2
+        assert "workers" in err
 
     def test_resource_limit(self, capsys):
         code, _, err = run(capsys, "sweep", "--n", "7")

@@ -1,11 +1,6 @@
 import random
 
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
-from klhom.divisibility import (DivisibilityWitness, exists_dividing_term_structural,
-                                is_subminor, monomial_set_difference, term_divides)
+from klhom.divisibility import exists_dividing_term_structural, is_subminor, term_divides
 from klhom.minors import MinorSpec, pruned_defining_minors
 from klhom.oracle import brute_divisor_exists, check_divisibility, laplace_determinant
 from klhom.paths import determinant, enumerate_nonzero_paths
@@ -40,43 +35,6 @@ class TestTermDivides:
             for b in terms:
                 if a.vars_ != b.vars_:
                     assert not term_divides(a, b)
-
-
-class TestSetDifference:
-    def test_empty_subtrahend(self):
-        m = mono((1, 1), (2, 2))
-        assert monomial_set_difference(m, Monomial(1, frozenset())).vars_ == m.vars_
-
-    def test_self_difference_is_empty(self):
-        m = mono((1, 1), (2, 2))
-        d = monomial_set_difference(m, m)
-        assert d.vars_ == frozenset() and d.degree == 0
-
-    @given(st.sets(st.integers(1, 12), max_size=8), st.sets(st.integers(1, 12), max_size=8))
-    def test_product_splitting_identities(self, xs, ys):
-        # m and X disjoint, n and Y disjoint, with mX = nY as variable sets:
-        # then m = (n \ X) u (Y \ X) and n = (m \ Y) u (X \ Y), disjointly
-        pool = xs | ys
-        x_vars = frozenset(f"x{i}" for i in xs)
-        product = frozenset(f"x{i}" for i in pool)
-        m = Monomial(1, product - x_vars)
-        y_vars = frozenset(f"x{i}" for i in ys)
-        n = Monomial(1, product - y_vars)
-        X, Y = Monomial(1, x_vars & product), Monomial(1, y_vars & product)
-        lhs = monomial_set_difference(n, X).vars_
-        rhs = monomial_set_difference(Y, X).vars_
-        assert lhs | rhs == m.vars_ and not (lhs & rhs)
-        lhs2 = monomial_set_difference(m, Y).vars_
-        rhs2 = monomial_set_difference(X, Y).vars_
-        assert lhs2 | rhs2 == n.vars_ and not (lhs2 & rhs2)
-
-
-class TestWitness:
-    def test_rejects_non_dividing(self):
-        a = MinorSpec((1,), (1,))
-        b = MinorSpec((1, 2), (1, 2))
-        with pytest.raises(ValueError):
-            DivisibilityWitness(a, mono((3, 3)), b, mono((1, 1), (2, 2)))
 
 
 class TestStructuralCriterion:

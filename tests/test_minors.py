@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from klhom.minors import (MinorSpec, enumerate_defining_minors, pruned_defining_minors,
-                          relevant_rows_for_column, required_minor_size, si_sequence_raw)
+from klhom.minors import (MinorSpec, defining_minor_count, enumerate_defining_minors,
+                          pruned_defining_minors, relevant_rows_for_column,
+                          required_minor_size, si_sequence_raw)
 from klhom.oracle import brute_si, laplace_determinant, reduce_over_generators
 from klhom.permutations import Permutation, all_permutations, rank_matrix
 from klhom.polynomials import Polynomial
@@ -93,6 +94,18 @@ class TestEnumerate:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             enumerate_defining_minors(P("12"), P("123"))
+
+
+class TestDefiningMinorCount:
+    def test_enumeration_does_not_depend_on_v(self, s4_perms):
+        for w in s4_perms:
+            assert len({len(enumerate_defining_minors(v, w)) for v in s4_perms}) == 1
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_closed_form_matches_enumeration(self, n):
+        v = Permutation.identity(n)
+        for w in all_permutations(n):
+            assert defining_minor_count(w) == len(enumerate_defining_minors(v, w)), f"w={w}"
 
 
 class TestColumnPruning:

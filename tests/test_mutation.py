@@ -91,6 +91,13 @@ class TestStep:
         assert "divisor" in out.reason
 
 
+class TestConfig:
+    @pytest.mark.parametrize("kwargs", [{"depth_limit": -1}, {"branch_budget": 0}])
+    def test_rejects_out_of_range_bounds(self, kwargs):
+        with pytest.raises(ValueError):
+            MutationConfig(**kwargs)
+
+
 class TestRunMutation:
     def test_harness_terminates_stage0(self):
         out = run_mutation(TARGET, HARNESS, target_gen_index=2)

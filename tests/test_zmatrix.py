@@ -1,7 +1,7 @@
 import pytest
 
 from klhom.permutations import Permutation, all_permutations
-from klhom.zmatrix import Cell, build_z, format_grid, format_matrix, southwest
+from klhom.zmatrix import Cell, build_z, format_grid, format_matrix
 
 P = Permutation.parse
 
@@ -92,29 +92,10 @@ class TestEntry:
 
 
 class TestSouthwest:
-    def test_full_window(self):
-        z = build_z(P("2314"))
-        win = southwest(z, 1, 4)
-        assert win.rows == (1, 2, 3, 4)
-        assert win.cols == (1, 2, 3, 4)
-
     def test_golden_33_window(self):
         z = build_z(P("23451"))
-        win = southwest(z, 3, 3)
-        assert format_grid(z, win.rows, win.cols) == [
+        assert format_grid(z, (1, 2, 3), (1, 2, 3)) == [
             ["z_{3,1}", "1", "0"],
             ["z_{2,1}", "z_{2,2}", "1"],
             ["z_{1,1}", "z_{1,2}", "z_{1,3}"],
         ]
-
-    def test_bottom_left_cell(self):
-        z = build_z(P("2314"))
-        win = southwest(z, 4, 1)
-        assert win.rows == (1,) and win.cols == (1,)
-
-    def test_out_of_range(self):
-        z = build_z(P("2314"))
-        with pytest.raises(ValueError):
-            southwest(z, 0, 1)
-        with pytest.raises(ValueError):
-            southwest(z, 1, 5)
