@@ -88,6 +88,12 @@ class ComponentCertificate:
         }
 
 
+def _digest(record: dict) -> str:
+    """The 12-hex-digit digest of a verdict record."""
+    blob = json.dumps(record, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:12]
+
+
 @dataclass(frozen=True)
 class Verdict:
     kind: VerdictKind
@@ -104,8 +110,7 @@ class Verdict:
         return rec
 
     def digest(self) -> str:
-        blob = json.dumps(self.to_record(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return _digest(self.to_record())
 
 
 @dataclass(frozen=True)
@@ -127,17 +132,18 @@ class ClassificationReport:
     wall_ms: float
 
     def to_record(self) -> dict:
+        detail = self.verdict.to_record()
         return {
             "v": str(self.v), "w": str(self.w),
             "verdict": self.verdict.kind.value,
             "reason": self.verdict.reason,
-            "digest": self.verdict.digest(),
+            "digest": _digest(detail),
             "gens_before": self.gens_before,
             "gens_after": self.gens_after,
             "n_singular": self.n_singular,
             "n_inhomogeneous": self.n_inhomogeneous,
             "wall_ms": round(self.wall_ms, 3),
-            "detail": self.verdict.to_record(),
+            "detail": detail,
         }
 
 
@@ -267,14 +273,14 @@ def classify(v: Permutation, w: Permutation,
     gens_after = len(keep)
     n_singular = len(pruned) - gens_after
 
-    reason = _pattern_reason(v, w)
-    if reason is not None and cfg.pattern_shortcut and not cfg.audit_pattern:
+    reason = _pattern_reason(v, w) if cfg.pattern_shortcut else None
+    if reason is not None and not cfg.audit_pattern:
         # fast path: trust the quoted protection outright
         return report(Verdict(VerdictKind.KNOWN_HOMOGENEOUS, reason=reason),
                       gens_after, n_singular)
 
     verdict, n_inhom = _core_verdict(v, w, z, keep, cfg)
-    if reason is not None and cfg.pattern_shortcut:
+    if reason is not None:
         # audited shortcut: the pattern claim may annotate but never carry a
         # verdict on its own
         if verdict.kind is VerdictKind.INHOMOGENEOUS:
@@ -299,9 +305,9 @@ def _pairs(n: int) -> Iterator[tuple[Permutation, Permutation]]:
             yield v, w
 
 
-def _classify_record(args: tuple[tuple[int, ...], tuple[int, ...], ClassifierConfig]) -> dict:
-    v_word, w_word, cfg = args
-    return classify(Permutation(v_word), Permutation(w_word), cfg).to_record()
+def _classify_record(args: tuple[Permutation, Permutation, ClassifierConfig]) -> dict:
+    v, w, cfg = args
+    return classify(v, w, cfg).to_record()
 
 
 def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | None = None,
@@ -321,8 +327,8 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
     out_path = Path(out) if out is not None else None
     if resume and out_path is not None and out_path.exists():
         done = {(rec["v"], rec["w"]) for rec in _read_records(out_path, fmt)}
-    jobs = [(v.word, w.word, cfg) for v, w in _pairs(n)
-            if (str(v), str(w)) not in done]
+    jobs = [(v, w, cfg) for v, w in _pairs(n)
+            if not done or (str(v), str(w)) not in done]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             records = list(pool.imap(_classify_record, jobs, chunksize=8))

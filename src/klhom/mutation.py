@@ -16,6 +16,9 @@ A node's frontier (the terms that survive cancellation, with the admissible
 divisors of each) is computed once per node and shared by all its children.
 Termination is certified by the multipliers and re-checked exactly;
 everything else is reported as undetermined, never as a homogeneity claim.
+Each step keeps sum multipliers * gens = target + sum outstanding by
+construction and does not re-check it: a slip could only lose a certificate
+to that exact re-check, never yield a wrong verdict.
 """
 from __future__ import annotations
 
@@ -49,29 +52,16 @@ class MutationConfig:
 
 @dataclass(frozen=True)
 class StageTerm:
-    """A quotient-form term tracked across stages.
+    """A generated term tracked across stages.
 
-    ``numerator`` and ``denominator`` record the factor history; their exact
-    quotient times the tail term is the reduced monomial ``mono``.  ``tail``
-    is the generator term whose product created this entry; it is barred from
-    dividing the entry at the next step.
+    ``tail`` is the generator term whose product created this entry; it is
+    barred from dividing the entry at the next step.
     """
 
     coeff: Coeff
     mono: Mono
-    numerator: tuple[Mono, ...]
-    denominator: tuple[Mono, ...]
     tail: tuple[int, Mono]
     stage: int
-
-    def __post_init__(self) -> None:
-        num = self.numerator
-        total = num[0]
-        for m in num[1:]:
-            total = mono_mul(total, m)
-        for d in self.denominator:
-            total = mono_div(total, d)  # raises unless the quotient is exact
-        assert total == self.mono
 
 
 @dataclass(frozen=True)
@@ -114,15 +104,6 @@ class MutationState:
     def multiplier_polys(self) -> tuple[Polynomial, ...]:
         return tuple(Polynomial(dict(m)) for m in self.multipliers)
 
-    def check_invariant(self) -> None:
-        """sum multipliers * gens must equal target + sum outstanding, exactly."""
-        total = Polynomial.zero()
-        for mult, gen in zip(self.multiplier_polys(), self.gens):
-            total = total + mult * gen
-        rhs = self.target + Polynomial.from_terms(
-            (t.coeff, t.mono) for t in self.outstanding)
-        assert total == rhs, "bookkeeping identity violated"
-
 
 def _divisors_for(mono: Mono, gens: tuple[Polynomial, ...],
                   exclude_gen: int | None = None,
@@ -156,7 +137,6 @@ def _add_multiplier(multipliers, gi: int, mono: Mono, coeff: Coeff):
 
 
 def _spawn(multipliers, gens, o_coeff: Coeff, o_mono: Mono,
-           numerator: tuple[Mono, ...], denominator: tuple[Mono, ...],
            gi: int, gm: Mono, gc: Coeff, stage: int, negate: bool):
     """Divide an entry by the chosen generator term and emit the cross terms.
 
@@ -178,8 +158,6 @@ def _spawn(multipliers, gens, o_coeff: Coeff, o_mono: Mono,
         new_terms.append(StageTerm(
             coeff=mu_coeff * oc,
             mono=mono_mul(mu_mono, om),
-            numerator=numerator + (om,),
-            denominator=denominator + (gm,),
             tail=(gi, om),
             stage=stage,
         ))
@@ -245,15 +223,13 @@ def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     multipliers = state.multipliers
     for (mono, coeff), divs, idx in zip(target.terms(), options, picked):
         gi, gm, gc = divs[idx]
-        spawned = _spawn(multipliers, gens, coeff, mono, (mono,), (),
+        spawned = _spawn(multipliers, gens, coeff, mono,
                          gi, gm, gc, stage=0, negate=False)
         if spawned is None:
             return MutationOutcome(ABRUPT_STOP, 0, reason="multiplier term cancelled")
         multipliers, new_terms = spawned
         outstanding.extend(new_terms)
-    out = replace(state, multipliers=multipliers, outstanding=tuple(outstanding))
-    out.check_invariant()
-    return out
+    return replace(state, multipliers=multipliers, outstanding=tuple(outstanding))
 
 
 def mutation_step(state: MutationState, cfg: MutationConfig = MutationConfig(),
@@ -269,17 +245,14 @@ def mutation_step(state: MutationState, cfg: MutationConfig = MutationConfig(),
     for (term, divs), idx in zip(frontier, picked):
         gi, gm, gc = divs[idx]
         spawned = _spawn(multipliers, state.gens, term.coeff, term.mono,
-                         term.numerator, term.denominator,
                          gi, gm, gc, stage=next_stage, negate=True)
         if spawned is None:
             return MutationOutcome(ABRUPT_STOP, state.stage,
                                    reason="multiplier term cancelled")
         multipliers, new_terms = spawned
         outstanding.extend(new_terms)
-    out = replace(state, multipliers=multipliers,
-                  outstanding=tuple(outstanding), stage=next_stage)
-    out.check_invariant()
-    return out
+    return replace(state, multipliers=multipliers,
+                   outstanding=tuple(outstanding), stage=next_stage)
 
 
 def _stronger(a: MutationOutcome | None, b: MutationOutcome) -> MutationOutcome:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """A permutation of {1..n} in one-line notation.
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import klhom
 
 
@@ -14,3 +17,16 @@ def test_star_import():
     namespace: dict = {}
     exec("from klhom import *", namespace)
     assert set(klhom.__all__) <= namespace.keys()
+
+
+def test_traced_benchmark_hooks_resolve():
+    # perfbench/spans.py wraps klhom functions by (module, name); a rename
+    # here would otherwise surface only as a crash of the traced benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.WRAPPED
+    for module_name, fn_name, _, _ in spans.WRAPPED:
+        module = importlib.import_module(f"klhom.{module_name}")
+        assert callable(getattr(module, fn_name, None)), f"klhom.{module_name}.{fn_name}"

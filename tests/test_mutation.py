@@ -4,12 +4,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from klhom import mutation
 from klhom.classifier import VerdictKind, working_generators
 from klhom.mutation import (ABRUPT_STOP, DEPTH_EXHAUSTED, TERMINATED, MutationConfig,
                             MutationOutcome, MutationState, StageTerm, cancel_outstanding,
                             mutation_step, run_mutation, stage0_setup, verify_certificate)
 from klhom.oracle import laplace_determinant
-from klhom.paths import homogeneous_components
+from klhom.paths import determinant, homogeneous_components, is_inhomogeneous_det
 from klhom.permutations import Permutation
 from klhom.polynomials import Polynomial, mono_from_vars, mono_sort_key
 
@@ -26,6 +27,52 @@ F2 = poly((1, "x2", "x3"))
 F3 = poly((1, "x1", "x3"), (1, "x2", "x3", "x4"))
 HARNESS = (F1, F2, F3)
 TARGET = poly((1, "x2", "x3", "x4"))
+
+
+def assert_ledger(state):
+    """The bookkeeping identity every state keeps by construction:
+    sum multipliers * gens == target + sum outstanding, exactly."""
+    total = Polynomial.zero()
+    for mult, gen in zip(state.multiplier_polys(), state.gens):
+        total = total + mult * gen
+    rhs = state.target + Polynomial.from_terms((t.coeff, t.mono) for t in state.outstanding)
+    assert total == rhs, "bookkeeping identity violated"
+
+
+@pytest.fixture
+def ledger_checks(monkeypatch):
+    """Apply assert_ledger to every state that stage0_setup and mutation_step
+    return while the test runs; the list counts the states checked."""
+    checked = [0]
+
+    def checking(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if isinstance(out, MutationState):
+                assert_ledger(out)
+                checked[0] += 1
+            return out
+        return wrapper
+
+    for name in ("stage0_setup", "mutation_step"):
+        monkeypatch.setattr(mutation, name, checking(getattr(mutation, name)))
+    return checked
+
+
+def rewrite_components(v, w):
+    """run_mutation on the homogeneous components of the inhomogeneous
+    generators of (v, w), in the classifier's order, up to the first one
+    that does not terminate: the runs of the classifier's last stage."""
+    z, _, keep = working_generators(v, w)
+    gen_polys = [determinant(m, z) for m in keep]
+    for idx, m in enumerate(keep):
+        if is_inhomogeneous_det(m, v):
+            for comp in homogeneous_components(gen_polys[idx]):
+                if not run_mutation(comp, gen_polys, target_gen_index=idx).terminated:
+                    return
+
+
+REWRITTEN = {VerdictKind.MUTATION_CERTIFIED_HOMOGENEOUS.value, VerdictKind.UNDETERMINED.value}
 
 
 class TestStage0:
@@ -56,7 +103,7 @@ class TestStage0:
         comp = homogeneous_components(inhom[0])[0]
         state = stage0_setup(comp, gen_polys, target_gen_index=gen_polys.index(inhom[0]))
         assert isinstance(state, MutationState)
-        state.check_invariant()
+        assert_ledger(state)
 
     def test_multiplier_cancellation_aborts(self):
         # both target terms pull opposite quotients onto the same generator
@@ -167,13 +214,21 @@ class TestCertificates:
         assert seen > 0
 
 
-class TestStageTerm:
-    def test_rejects_non_exact_history(self):
-        with pytest.raises(ValueError):
-            StageTerm(coeff=1, mono=mono_from_vars(["x1"]),
-                      numerator=(mono_from_vars(["x1"]),),
-                      denominator=(mono_from_vars(["x2"]),),
-                      tail=(0, mono_from_vars(["x2"])), stage=0)
+class TestLedger:
+    def test_every_s4_rewriting_state(self, ledger_checks, s4_reports_no_shortcut):
+        pairs = [pair for pair, report in s4_reports_no_shortcut.items()
+                 if report.verdict.kind.value in REWRITTEN]
+        assert len(pairs) == 35
+        for v, w in pairs:
+            rewrite_components(v, w)
+        assert ledger_checks[0] > 0
+
+    def test_every_s5_middle_stratum_state(self, ledger_checks, s5_middle_stratum):
+        rows = [r for r in s5_middle_stratum if r["verdict"] in REWRITTEN]
+        assert rows
+        for row in rows:
+            rewrite_components(Permutation.parse(row["v"]), Permutation.parse(row["w"]))
+        assert ledger_checks[0] > 0
 
 
 def cancel_by_scan(outstanding):
@@ -204,8 +259,8 @@ class TestCancelOutstanding:
     def test_matches_the_quadratic_scan(self, spec):
         # each term's stage is its input position, so the comparison sees
         # which of several equal terms survived, not just their values
-        terms = tuple(StageTerm(coeff=c, mono=CANCEL_MONOS[i], numerator=(CANCEL_MONOS[i],),
-                                denominator=(), tail=(0, CANCEL_MONOS[i]), stage=pos)
+        terms = tuple(StageTerm(coeff=c, mono=CANCEL_MONOS[i], tail=(0, CANCEL_MONOS[i]),
+                                stage=pos)
                       for pos, (i, c) in enumerate(spec))
         got = cancel_outstanding(terms)
         assert [t.stage for t in got] == [t.stage for t in cancel_by_scan(terms)]
