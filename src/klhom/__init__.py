@@ -11,7 +11,7 @@ oracles in the test suite and the ``verify`` command.
 from .classifier import (ClassificationReport, ClassifierConfig, InhomogeneityWitness,
                          Verdict, VerdictKind, classify, necessary_condition_fails, sweep,
                          verify_inhomogeneity_witness, working_generators)
-from .divisibility import exists_dividing_term_structural, term_divides
+from .divisibility import exists_dividing_term_structural
 from .errors import ConsistencyError
 from .minors import (GeneratorSet, MinorSpec, defining_minor_count,
                      enumerate_defining_minors, pruned_defining_minors,
@@ -25,14 +25,14 @@ from .paths import (delta_conditions_hold, determinant, enumerate_nonzero_paths,
 from .permutations import (Permutation, RankMatrix, all_permutations, avoids_pattern,
                            dominates, inverse, is_longest_element, rank_matrix,
                            rank_matrix_via_minima)
-from .polynomials import Monomial, Polynomial, monomials_of
+from .polynomials import Polynomial
 from .zmatrix import Cell, ZEntry, ZMatrix, build_z, cell_name, format_grid, format_matrix
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Cell", "ClassificationReport", "ClassifierConfig", "ConsistencyError",
-    "GeneratorSet", "InhomogeneityWitness", "MinorSpec", "Monomial", "MutationConfig",
+    "GeneratorSet", "InhomogeneityWitness", "MinorSpec", "MutationConfig",
     "MutationOutcome", "MutationState", "Permutation", "Polynomial", "RankMatrix",
     "StageTerm", "Verdict", "VerdictKind", "ZEntry", "ZMatrix", "all_permutations",
     "avoids_pattern", "build_z", "cell_name", "classify", "defining_minor_count",
@@ -40,9 +40,9 @@ __all__ = [
     "enumerate_nonzero_paths", "exists_dividing_term_structural",
     "exists_nonzero_path_through", "format_grid", "format_matrix", "has_zero_row_or_col",
     "homogeneous_components", "inverse", "is_inhomogeneous_det", "is_longest_element",
-    "is_singular", "is_unit_determinant", "monomials_of", "mutation_step",
+    "is_singular", "is_unit_determinant", "mutation_step",
     "necessary_condition_fails", "pruned_defining_minors", "rank_matrix",
     "rank_matrix_via_minima", "relevant_rows_for_column", "required_minor_size",
-    "run_mutation", "si_sequence_raw", "stage0_setup", "sweep", "term_divides",
+    "run_mutation", "si_sequence_raw", "stage0_setup", "sweep",
     "verify_certificate", "verify_inhomogeneity_witness", "working_generators",
 ]

@@ -8,13 +8,13 @@ an inhomogeneous determinant, an inhomogeneity witness is extracted when the
 divisibility necessary condition fails, and as a last resort the staged
 rewriting procedure tries to certify every stray homogeneous component as an
 ideal member.  The pattern shortcut (v avoiding 321 or w avoiding 132,
-quoted from the literature as forcing homogeneity) carries a verdict on its
-own only with the audit turned off; in audit mode (the default) the full
-pipeline runs and the pattern claim merely annotates the outcome, because in
-this package's indexing the quoted protection has verified counterexamples
-(the one that survives every exhaustive audit is the value-complemented
-pair: v avoiding 123 or w avoiding 312).  A re-verified witness therefore
-outranks the claim, and an undetermined outcome is never upgraded by it.
+quoted from the literature as forcing homogeneity) never carries a verdict
+on its own: the full pipeline always runs and the pattern claim merely
+annotates the outcome, because in this package's indexing the quoted
+protection has verified counterexamples (the one that survives every
+exhaustive audit is the value-complemented pair: v avoiding 123 or w
+avoiding 312).  A re-verified witness therefore outranks the claim, and an
+undetermined outcome is never upgraded by it.
 
 "Undetermined" is an honest verdict: a stalled rewriting run proves nothing
 either way and is never upgraded.
@@ -32,7 +32,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .divisibility import exists_dividing_term_structural, term_divides
+from .divisibility import exists_dividing_term_structural
 from .errors import ConsistencyError
 # enumerate_defining_minors is not called here, but the traced benchmark
 # (perfbench/spans.py) wraps it under this module's name, so it stays imported
@@ -43,7 +43,7 @@ from .paths import (determinant, homogeneous_components, is_inhomogeneous_det,
                     is_singular, is_unit_determinant)
 from .permutations import (Permutation, all_permutations, avoids_pattern, dominates,
                            is_longest_element, rank_matrix)
-from .polynomials import Monomial, Polynomial, monomials_of
+from .polynomials import Mono, Polynomial, mono_degree, mono_divides
 from .zmatrix import ZMatrix, build_z, cell_name
 
 
@@ -58,18 +58,20 @@ class VerdictKind(Enum):
 
 @dataclass(frozen=True)
 class InhomogeneityWitness:
-    """One inhomogeneous generator plus, per homogeneous component, a monomial
-    no term of any other generator divides."""
+    """One inhomogeneous generator plus, per homogeneous component (highest
+    degree first), a squarefree term of that component which no term of any
+    other generator divides."""
 
     generator: MinorSpec
-    per_component: tuple[tuple[int, Monomial], ...]
+    per_component: tuple[Mono, ...]
 
     def to_record(self) -> dict:
         return {
             "generator": self.generator.to_record(),
             "components": [
-                {"degree": d, "monomial": sorted(cell_name(c) for c in mono.vars_)}
-                for d, mono in self.per_component
+                {"degree": mono_degree(mono),
+                 "monomial": sorted(cell_name(c) for c, _ in mono)}
+                for mono in self.per_component
             ],
         }
 
@@ -116,7 +118,6 @@ class Verdict:
 @dataclass(frozen=True)
 class ClassifierConfig:
     pattern_shortcut: bool = True
-    audit_pattern: bool = True
     mutation: MutationConfig = field(default_factory=MutationConfig)
 
 
@@ -155,36 +156,32 @@ def working_generators(v: Permutation, w: Permutation) -> tuple[ZMatrix, Generat
     return z, pruned, keep
 
 
-def necessary_condition_fails(gens: GeneratorSet, z: ZMatrix) -> InhomogeneityWitness | None:
+def necessary_condition_fails(gens: GeneratorSet, z: ZMatrix,
+                              inhom: list[MinorSpec]) -> InhomogeneityWitness | None:
     """Witness extraction for the divisibility necessary condition.
 
-    A homogeneous ideal forces, for each inhomogeneous generator, some
-    component whose every monomial is divisible by a term of another
-    generator.  If instead EVERY component of some generator carries a
-    monomial with no external divisor, that generator witnesses
-    inhomogeneity; the first such witness (canonical order) is returned.
+    ``inhom`` lists the generators of ``gens`` whose determinant is
+    inhomogeneous, in generator order.  A homogeneous ideal forces, for each
+    inhomogeneous generator, some component whose every monomial is
+    divisible by a term of another generator.  If instead EVERY component of
+    some generator carries a monomial with no external divisor, that
+    generator witnesses inhomogeneity; the first such witness (canonical
+    order) is returned.
     """
-    minors_ = list(gens.minors)
-    for m in minors_:
+    for m in gens.minors:
         if is_unit_determinant(m, z.v):
             raise ValueError("unit generator: the ideal is the whole ring")
-    for m in minors_:
-        if not is_inhomogeneous_det(m, z.v):
-            continue
-        others = [g for g in minors_ if g != m]
+    for m in inhom:
+        others = [g for g in gens.minors if g != m]
         per_component = []
         for comp in homogeneous_components(determinant(m, z)):
-            found = None
-            for mono in monomials_of(comp):
-                if not any(exists_dividing_term_structural(g, mono, z.v, b=m)
-                           for g in others):
-                    found = (mono.degree, mono)
-                    break
+            found = next((mono for mono, _ in comp.terms()
+                          if not any(exists_dividing_term_structural(g, mono, z.v, b=m)
+                                     for g in others)), None)
             if found is None:
-                per_component = None
                 break
             per_component.append(found)
-        if per_component is not None:
+        else:
             return InhomogeneityWitness(m, tuple(per_component))
     return None
 
@@ -196,15 +193,12 @@ def verify_inhomogeneity_witness(witness: InhomogeneityWitness, gens: GeneratorS
     comps = homogeneous_components(det)
     if len(comps) < 2 or len(comps) != len(witness.per_component):
         return False
-    other_terms = []
-    for g in gens.minors:
-        if g != witness.generator:
-            other_terms.extend(monomials_of(determinant(g, z)))
-    for comp, (degree, mono) in zip(comps, witness.per_component):
-        comp_vars = {m.vars_ for m in monomials_of(comp)}
-        if mono.degree != degree or mono.vars_ not in comp_vars:
+    other_terms = [t for g in gens.minors if g != witness.generator
+                   for t, _ in determinant(g, z).terms()]
+    for comp, mono in zip(comps, witness.per_component):
+        if comp.coeff(mono) == 0:
             return False
-        if any(term_divides(t, mono) for t in other_terms):
+        if any(mono_divides(t, mono) for t in other_terms):
             return False
     return True
 
@@ -226,7 +220,7 @@ def _core_verdict(v: Permutation, w: Permutation, z: ZMatrix, keep: list[MinorSp
     if not inhom:
         return Verdict(VerdictKind.KNOWN_HOMOGENEOUS, reason="all-generators-homogeneous"), 0
     gens = GeneratorSet(v, w, tuple(keep))
-    witness = necessary_condition_fails(gens, z)
+    witness = necessary_condition_fails(gens, z, inhom)
     if witness is not None:
         if not verify_inhomogeneity_witness(witness, gens, z):
             raise ConsistencyError(f"witness for ({v}, {w}) failed re-verification")
@@ -273,16 +267,10 @@ def classify(v: Permutation, w: Permutation,
     gens_after = len(keep)
     n_singular = len(pruned) - gens_after
 
-    reason = _pattern_reason(v, w) if cfg.pattern_shortcut else None
-    if reason is not None and not cfg.audit_pattern:
-        # fast path: trust the quoted protection outright
-        return report(Verdict(VerdictKind.KNOWN_HOMOGENEOUS, reason=reason),
-                      gens_after, n_singular)
-
     verdict, n_inhom = _core_verdict(v, w, z, keep, cfg)
+    reason = _pattern_reason(v, w) if cfg.pattern_shortcut else None
     if reason is not None:
-        # audited shortcut: the pattern claim may annotate but never carry a
-        # verdict on its own
+        # the pattern claim may annotate but never carry a verdict on its own
         if verdict.kind is VerdictKind.INHOMOGENEOUS:
             verdict = Verdict(verdict.kind,
                               reason=f"{verdict.reason};pattern-claim-contradicted:{reason}",
@@ -296,6 +284,9 @@ def classify(v: Permutation, w: Permutation,
 
 
 CSV_HEADER = ["v", "w", "verdict", "digest", "gens_before", "gens_after", "wall_ms"]
+
+# the largest n a sweep accepts: S_7 x S_7 has 25,401,600 pairs
+MAX_SWEEP_N = 6
 
 
 def _pairs(n: int) -> Iterator[tuple[Permutation, Permutation]]:
@@ -311,16 +302,15 @@ def _classify_record(args: tuple[Permutation, Permutation, ClassifierConfig]) ->
 
 
 def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | None = None,
-          fmt: str = "csv", workers: int = 1, resume: bool = False,
-          max_n: int = 6) -> list[dict]:
+          fmt: str = "csv", workers: int = 1, resume: bool = False) -> list[dict]:
     """Classify every pair in S_n x S_n, in lexicographic word order.
 
     Writes CSV (fixed header) or JSONL when ``out`` is given; with ``resume``
     the pairs already present in the output file are skipped.  Records are
     returned in order either way.
     """
-    if n > max_n:
-        raise ResourceWarning(f"sweep over S_{n} exceeds the configured limit {max_n}")
+    if n > MAX_SWEEP_N:
+        raise ResourceWarning(f"sweep over S_{n} exceeds the limit {MAX_SWEEP_N}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     done: set[tuple[str, str]] = set()

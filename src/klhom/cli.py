@@ -68,7 +68,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fmt = "jsonl" if (args.out or "").endswith(".jsonl") else "csv"
     try:
         records = sweep(args.n, _config(args), out=args.out, fmt=fmt,
-                        workers=args.workers, resume=args.resume, max_n=args.max_n)
+                        workers=args.workers, resume=args.resume)
     except ResourceWarning as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -151,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--resume", action="store_true",
                    help="skip pairs already present in the output file")
-    p.add_argument("--max-n", type=int, default=6, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("show", help="print the matrices and pruned generators")

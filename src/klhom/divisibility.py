@@ -15,13 +15,8 @@ from __future__ import annotations
 from .minors import MinorSpec
 from .paths import _nonzero, _pivots
 from .permutations import Permutation
-from .polynomials import Monomial
+from .polynomials import Mono
 from .zmatrix import Cell
-
-
-def term_divides(a: Monomial, b: Monomial) -> bool:
-    """Setwise containment of the variable cells (cells never repeat)."""
-    return a.vars_ <= b.vars_
 
 
 def is_subminor(a: MinorSpec, b: MinorSpec) -> bool:
@@ -53,14 +48,15 @@ def _exists_allowed_path(prow, pcol, m: MinorSpec, allowed: frozenset) -> bool:
     return rec(0)
 
 
-def exists_dividing_term_structural(a: MinorSpec, m_b: Monomial, v: Permutation,
+def exists_dividing_term_structural(a: MinorSpec, m_b: Mono, v: Permutation,
                                     b: MinorSpec | None = None) -> bool:
-    """True iff some term of det(a) divides the given term of det(b).
+    """True iff some term of det(a) divides the squarefree term m_b of det(b).
 
-    Decided structurally (no expansion of det(a)).  When the source minor b
-    is supplied and a is not contained in it, every row or column of a
-    outside b must carry its forced 1 inside a, which screens most negatives
-    before the path search runs.
+    Decided structurally (no expansion of det(a)): the variable cells of m_b
+    are the only variable picks a dividing path may make.  When the source
+    minor b is supplied and a is not contained in it, every row or column of
+    a outside b must carry its forced 1 inside a, which screens most
+    negatives before the path search runs.
     """
     prow, pcol = _pivots(v)
     if b is not None and not is_subminor(a, b):
@@ -70,4 +66,4 @@ def exists_dividing_term_structural(a: MinorSpec, m_b: Monomial, v: Permutation,
         for j in set(a.cols) - set(b.cols):
             if prow[j] not in a.rows:
                 return False
-    return _exists_allowed_path(prow, pcol, a, m_b.vars_)
+    return _exists_allowed_path(prow, pcol, a, frozenset(c for c, _ in m_b))

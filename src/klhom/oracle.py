@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .minors import GeneratorSet, MinorSpec
 from .permutations import Permutation, rank_matrix
-from .polynomials import Monomial, Polynomial, mono_from_vars
+from .polynomials import Mono, Polynomial, mono_from_vars
 from .zmatrix import Cell, ZMatrix
 
 MAX_LAPLACE = 8
@@ -64,12 +64,12 @@ def brute_paths(m: MinorSpec, z: ZMatrix) -> list[tuple[Cell, ...]]:
     return sorted(out)
 
 
-def brute_divisor_exists(a: MinorSpec, m_b: Monomial, z: ZMatrix) -> bool:
+def brute_divisor_exists(a: MinorSpec, m_b: Mono, z: ZMatrix) -> bool:
     """Expand det(a) and scan its terms for a setwise divisor of m_b."""
     det = laplace_determinant(a, z)
+    vars_b = {v for v, _ in m_b}
     for mono, _ in det.terms():
-        vars_ = frozenset(v for v, _ in mono)
-        if vars_ <= m_b.vars_:
+        if {v for v, _ in mono} <= vars_b:
             return True
     return False
 
@@ -282,7 +282,6 @@ def check_divisibility(n: int) -> OracleReport:
     from .divisibility import exists_dividing_term_structural
     from .minors import pruned_defining_minors
     from .permutations import all_permutations
-    from .polynomials import monomials_of
     from .zmatrix import build_z
 
     if n > 4:
@@ -304,7 +303,7 @@ def check_divisibility(n: int) -> OracleReport:
                     if key in seen:
                         continue
                     seen.add(key)
-                    for m_b in monomials_of(det_b):
+                    for m_b, _ in det_b.terms():
                         rep.checked += 1
                         fast = exists_dividing_term_structural(a, m_b, v, b=b)
                         if fast != brute_divisor_exists(a, m_b, z):

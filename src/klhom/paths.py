@@ -27,7 +27,7 @@ from typing import Iterable
 from .errors import ConsistencyError
 from .minors import MinorSpec
 from .permutations import Permutation
-from .polynomials import Monomial, Polynomial
+from .polynomials import Mono, Polynomial, mono_from_vars
 from .zmatrix import Cell, ZMatrix
 
 
@@ -86,10 +86,9 @@ def path_sign(m: MinorSpec, path: Path) -> int:
     return -1 if inversions % 2 else 1
 
 
-def path_monomial(m: MinorSpec, z: ZMatrix, path: Path) -> Monomial:
-    """Signed product of the path's variable cells (1 picks drop out)."""
-    vars_ = frozenset(c for c in path if z.entry(c).is_variable)
-    return Monomial(path_sign(m, path), vars_)
+def path_monomial(z: ZMatrix, path: Path) -> Mono:
+    """The squarefree product of the path's variable cells (1 picks drop out)."""
+    return mono_from_vars(c for c in path if z.entry(c).is_variable)
 
 
 def determinant(m: MinorSpec, z: ZMatrix) -> Polynomial:
@@ -101,12 +100,11 @@ def determinant(m: MinorSpec, z: ZMatrix) -> Polynomial:
     paths = enumerate_nonzero_paths(m, z)
     terms = {}
     for path in paths:
-        mono = path_monomial(m, z, path)
-        key = mono.as_mono()
+        mono = path_monomial(z, path)
         # distinct nonzero paths always carry distinct variable sets
-        if key in terms:
+        if mono in terms:
             raise ConsistencyError(f"cancelling paths in {m}: {path}")
-        terms[key] = mono.sign
+        terms[mono] = path_sign(m, path)
     return Polynomial(terms)
 
 

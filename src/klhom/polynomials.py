@@ -1,21 +1,16 @@
 """
-Exact sparse multivariate polynomials and path monomials.
+Exact sparse multivariate polynomials.
 
-Two term representations coexist:
-
-- ``Mono``: the general monomial of a polynomial, a sorted tuple of
-  ``(variable, exponent)`` pairs.  Variables are any mutually orderable
-  hashable values; matrix cells and plain strings are the two kinds used here.
-- :class:`Monomial`: the squarefree, signed product contributed by one path
-  of a determinant.  Its variables form a set (a path hits each row and
-  column at most once, so no variable can repeat), which is what makes
-  divisibility a plain subset test.
+A monomial (``Mono``) is a sorted tuple of ``(variable, exponent)`` pairs.
+Variables are any mutually orderable hashable values; matrix cells and plain
+strings are the two kinds used here.  The terms of a determinant are
+squarefree (a path hits each row and column at most once), so
+:func:`mono_from_vars` builds them straight from a path's variable cells.
 
 Coefficients are exact (int, or Fraction when a quotient demands it).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable
 
@@ -203,41 +198,3 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({self})"
 
-
-@dataclass(frozen=True)
-class Monomial:
-    """A signed squarefree product of variable cells (one path's contribution).
-
-    The forced 1 entries a path picks contribute nothing, so ``vars_`` holds
-    only the variable cells and ``degree`` is their count.
-    """
-
-    sign: int
-    vars_: frozenset
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.vars_)
-
-    def as_mono(self) -> Mono:
-        return mono_from_vars(self.vars_)
-
-    def __str__(self) -> str:
-        body = _mono_str(self.as_mono())
-        return body if self.sign == 1 else f"-{body}"
-
-
-def monomials_of(p: Polynomial) -> list[Monomial]:
-    """The squarefree view of a polynomial whose coefficients are all +-1."""
-    out = []
-    for m, c in p.terms():
-        if c not in (1, -1):
-            raise ValueError(f"coefficient {c} is not +-1 in {p}")
-        if any(e != 1 for _, e in m):
-            raise ValueError(f"monomial {m} is not squarefree")
-        out.append(Monomial(int(c), frozenset(v for v, _ in m)))
-    return out

@@ -47,8 +47,28 @@ class TestNecessaryCondition:
                                    for m in keep):
                     continue
                 gens = GeneratorSet(v, w, tuple(keep))
-                fast = necessary_condition_fails(gens, z) is not None
+                inhom = [m for m in keep if not laplace_determinant(m, z).is_homogeneous]
+                fast = necessary_condition_fails(gens, z, inhom) is not None
                 assert fast == brute_witness_exists(v, w), f"v={v} w={w}"
+
+    def test_each_generator_is_tested_for_inhomogeneity_once(self, s4_perms, monkeypatch):
+        calls = 0
+        counted = klhom.classifier.is_inhomogeneous_det
+
+        def counting(m, v):
+            nonlocal calls
+            calls += 1
+            return counted(m, v)
+
+        monkeypatch.setattr(klhom.classifier, "is_inhomogeneous_det", counting)
+        witnessed = 0
+        for v in s4_perms:
+            for w in s4_perms:
+                calls = 0
+                report = classify(v, w, NO_SHORTCUT)
+                assert calls <= report.gens_after, f"v={v} w={w}"
+                witnessed += report.verdict.kind is VerdictKind.INHOMOGENEOUS
+        assert witnessed > 0
 
 
 class TestClassify:
@@ -77,9 +97,6 @@ class TestClassify:
         report = classify(P("123"), P("312"))
         assert report.verdict.kind is VerdictKind.INHOMOGENEOUS
         assert "pattern-claim-contradicted" in report.verdict.reason
-        unaudited = classify(P("123"), P("312"),
-                             ClassifierConfig(audit_pattern=False))
-        assert unaudited.verdict.kind is VerdictKind.KNOWN_HOMOGENEOUS
 
     def test_gens_before_counts_the_enumerated_minors(self, s4_reports_no_shortcut):
         for (v, w), report in s4_reports_no_shortcut.items():
@@ -103,11 +120,10 @@ class TestClassify:
         gens = GeneratorSet(P("123"), P("312"), tuple(keep))
         assert verify_inhomogeneity_witness(witness, gens, z)
         from klhom.classifier import InhomogeneityWitness
-        from klhom.polynomials import Monomial
+        from klhom.polynomials import mono_from_vars
         from klhom.zmatrix import Cell
         forged = InhomogeneityWitness(
-            witness.generator,
-            ((1, Monomial(1, frozenset({Cell(2, 1)}))),) + witness.per_component[1:])
+            witness.generator, (mono_from_vars([Cell(2, 1)]),) + witness.per_component[1:])
         assert not verify_inhomogeneity_witness(forged, gens, z)
 
     def test_s3_verdict_census(self, s3_reports_no_shortcut):

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -30,3 +31,20 @@ def test_traced_benchmark_hooks_resolve():
     for module_name, fn_name, _, _ in spans.WRAPPED:
         module = importlib.import_module(f"klhom.{module_name}")
         assert callable(getattr(module, fn_name, None)), f"klhom.{module_name}.{fn_name}"
+
+
+def test_sympy_stays_out_of_the_package():
+    # sympy is a test-time oracle only; the package must run without it
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "klhom").glob("*.py"))
+    offenders = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "sympy"]
+    assert sources and not offenders, offenders

@@ -12,7 +12,7 @@ from klhom.paths import (delta_conditions_hold, determinant, enumerate_nonzero_p
                          homogeneous_components, is_inhomogeneous_det, is_singular,
                          is_unit_determinant)
 from klhom.permutations import Permutation, all_permutations
-from klhom.polynomials import Monomial, Polynomial, mono_from_vars
+from klhom.polynomials import Polynomial, mono_from_vars
 from klhom.zmatrix import Cell, build_z
 
 P = Permutation.parse
@@ -271,6 +271,6 @@ def test_cancelling_paths_raise_consistency_error(monkeypatch):
     minor = MinorSpec((1, 2), (1, 2))
     assert len(enumerate_nonzero_paths(minor, z)) == 2
     monkeypatch.setattr(klhom.paths, "path_monomial",
-                        lambda m, z, path: Monomial(1, frozenset({Cell(1, 1)})))
+                        lambda z, path: mono_from_vars([Cell(1, 1)]))
     with pytest.raises(ConsistencyError):
         determinant(minor, z)

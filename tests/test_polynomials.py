@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from klhom.polynomials import (Monomial, Polynomial, mono_div, mono_divides,
-                               mono_from_vars, mono_mul, mono_sort_key, monomials_of)
+from klhom.polynomials import (Polynomial, mono_div, mono_divides, mono_from_vars,
+                               mono_mul, mono_sort_key)
 from klhom.zmatrix import Cell
 
 variables = st.sampled_from(["x1", "x2", "x3", "x4"])
@@ -107,24 +107,3 @@ class TestRendering:
         f = Polynomial({mono_from_vars(["x1"]): 2, (): -3})
         assert str(f) == "2·x1 - 3"
 
-
-class TestMonomialView:
-    def test_sign_validation(self):
-        with pytest.raises(ValueError):
-            Monomial(2, frozenset())
-
-    def test_monomials_of_requires_unit_coefficients(self):
-        with pytest.raises(ValueError):
-            monomials_of(Polynomial.constant(2))
-
-    def test_monomials_of_requires_squarefree(self):
-        sq = mono_mul(mono_from_vars(["x1"]), mono_from_vars(["x1"]))
-        with pytest.raises(ValueError):
-            monomials_of(Polynomial({sq: 1}))
-
-    def test_round_trip(self):
-        f = Polynomial({mono_from_vars(["x1", "x2"]): 1, mono_from_vars(["x3"]): -1})
-        back = Polynomial.zero()
-        for m in monomials_of(f):
-            back = back + Polynomial({m.as_mono(): m.sign})
-        assert back == f
