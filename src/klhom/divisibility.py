@@ -3,9 +3,10 @@ Term divisibility across minors, decided without expanding the divisor.
 
 Terms of a determinant are squarefree products of variable cells, so one term
 divides another exactly when its variable set is contained in the other's.
-Whether *some* term of det(A) divides a given term of det(B) reduces to a
-path search inside A: each column of A must pick either a forced 1 of A or a
-variable cell that the dividend term already contains, with all rows
+Whether *some* term of det(A) divides a given term of det(B) reduces to the
+path search of ``paths._complete`` inside A, with the dividend term's cells
+as the allowed variables: each column of A must pick either a forced 1 of A
+or a variable cell that the dividend term already contains, with all rows
 distinct.  When A shares no full containment with B, rows and columns of A
 outside B can only ever contribute their forced 1, which gives a cheap
 necessary filter before the search.
@@ -13,39 +14,13 @@ necessary filter before the search.
 from __future__ import annotations
 
 from .minors import MinorSpec
-from .paths import _nonzero, _pivots
+from .paths import _complete, _pivots
 from .permutations import Permutation
 from .polynomials import Mono
-from .zmatrix import Cell
 
 
 def is_subminor(a: MinorSpec, b: MinorSpec) -> bool:
     return set(a.rows) <= set(b.rows) and set(a.cols) <= set(b.cols)
-
-
-def _exists_allowed_path(prow, pcol, m: MinorSpec, allowed: frozenset) -> bool:
-    """A nonzero path of m whose variable picks all lie in ``allowed``."""
-    cols = m.cols
-    rows = m.rows
-    used: set[int] = set()
-
-    def rec(k: int) -> bool:
-        if k == len(cols):
-            return True
-        j = cols[k]
-        for i in rows:
-            if i in used or not _nonzero(prow, pcol, i, j):
-                continue
-            if prow[j] != i and Cell(i, j) not in allowed:
-                continue
-            used.add(i)
-            if rec(k + 1):
-                used.remove(i)
-                return True
-            used.remove(i)
-        return False
-
-    return rec(0)
 
 
 def exists_dividing_term_structural(a: MinorSpec, m_b: Mono, v: Permutation,
@@ -66,4 +41,4 @@ def exists_dividing_term_structural(a: MinorSpec, m_b: Mono, v: Permutation,
         for j in set(a.cols) - set(b.cols):
             if prow[j] not in a.rows:
                 return False
-    return _exists_allowed_path(prow, pcol, a, frozenset(c for c, _ in m_b))
+    return _complete(prow, pcol, a.rows, a.cols, set(), frozenset(c for c, _ in m_b))

@@ -201,6 +201,26 @@ def _target_options(target: Polynomial, gens: tuple[Polynomial, ...],
     return options
 
 
+def _expand(state: MutationState, entries, choices: tuple[int, ...] | None,
+            next_stage: int, negate: bool) -> MutationState | MutationOutcome:
+    """Divide each ``(coeff, mono, divisors)`` entry by its chosen divisor
+    (the first by default) and collect the cross terms as the next state."""
+    picked = choices if choices is not None else itertools.repeat(0)
+    multipliers = state.multipliers
+    outstanding: list[StageTerm] = []
+    for (coeff, mono, divs), idx in zip(entries, picked):
+        gi, gm, gc = divs[idx]
+        spawned = _spawn(multipliers, state.gens, coeff, mono,
+                         gi, gm, gc, stage=next_stage, negate=negate)
+        if spawned is None:
+            return MutationOutcome(ABRUPT_STOP, state.stage,
+                                   reason="multiplier term cancelled")
+        multipliers, new_terms = spawned
+        outstanding.extend(new_terms)
+    return replace(state, multipliers=multipliers,
+                   outstanding=tuple(outstanding), stage=next_stage)
+
+
 def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, ...],
                  target_gen_index: int | None = None,
                  choices: tuple[int, ...] | None = None) -> MutationState | MutationOutcome:
@@ -218,18 +238,9 @@ def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     options = _target_options(target, gens, target_gen_index)
     if isinstance(options, MutationOutcome):
         return options
-    picked = choices if choices is not None else (0,) * len(options)
-    outstanding: list[StageTerm] = []
-    multipliers = state.multipliers
-    for (mono, coeff), divs, idx in zip(target.terms(), options, picked):
-        gi, gm, gc = divs[idx]
-        spawned = _spawn(multipliers, gens, coeff, mono,
-                         gi, gm, gc, stage=0, negate=False)
-        if spawned is None:
-            return MutationOutcome(ABRUPT_STOP, 0, reason="multiplier term cancelled")
-        multipliers, new_terms = spawned
-        outstanding.extend(new_terms)
-    return replace(state, multipliers=multipliers, outstanding=tuple(outstanding))
+    return _expand(state, ((coeff, mono, divs) for (mono, coeff), divs
+                           in zip(target.terms(), options)),
+                   choices, next_stage=0, negate=False)
 
 
 def mutation_step(state: MutationState, cfg: MutationConfig = MutationConfig(),
@@ -238,21 +249,8 @@ def mutation_step(state: MutationState, cfg: MutationConfig = MutationConfig(),
     frontier = state._frontier
     if isinstance(frontier, MutationOutcome):
         return frontier
-    picked = choices if choices is not None else (0,) * len(frontier)
-    multipliers = state.multipliers
-    outstanding: list[StageTerm] = []
-    next_stage = state.stage + 1
-    for (term, divs), idx in zip(frontier, picked):
-        gi, gm, gc = divs[idx]
-        spawned = _spawn(multipliers, state.gens, term.coeff, term.mono,
-                         gi, gm, gc, stage=next_stage, negate=True)
-        if spawned is None:
-            return MutationOutcome(ABRUPT_STOP, state.stage,
-                                   reason="multiplier term cancelled")
-        multipliers, new_terms = spawned
-        outstanding.extend(new_terms)
-    return replace(state, multipliers=multipliers,
-                   outstanding=tuple(outstanding), stage=next_stage)
+    return _expand(state, ((term.coeff, term.mono, divs) for term, divs in frontier),
+                   choices, next_stage=state.stage + 1, negate=True)
 
 
 def _stronger(a: MutationOutcome | None, b: MutationOutcome) -> MutationOutcome:

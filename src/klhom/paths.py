@@ -11,13 +11,11 @@ bottom-indexed row i, column j is nonzero exactly when it is not above the 1
 of column j and not right of the 1 of row i.  Row indices fed to these tests
 are bottom-indexed, so the 1 of column j sits in row n - v(j) + 1.
 
-A recurring move ("peel"): a nonzero path through a variable that sits below
-an in-minor 1 must pick a variable from the 1's row strictly to the left, so
-that row and the chosen column can be removed and the search recurses on the
-smaller minor.  Where the column-by-column feasibility conditions leave the
-treatment of the target column itself ambiguous, the reading implemented here
-simply skips that column (its pick is pinned to the target cell); the
-enumeration oracle in tests pins this reading down.
+Each existence question (is the minor singular, does some nonzero path pick a
+given cell, does some nonzero path use only allowed variables) runs the one
+search ``_complete``.  A path through a variable below an in-minor 1 needs no
+special handling: the 1's row is nonzero only up to the 1's column, which the
+variable already takes, so any completion picks from that row further left.
 """
 from __future__ import annotations
 
@@ -137,8 +135,12 @@ def has_zero_row_or_col(m: MinorSpec, v: Permutation) -> bool:
 
 
 def _complete(prow, pcol, rows: tuple[int, ...], cols: Iterable[int],
-              used: set[int]) -> bool:
-    """Can the remaining columns pick nonzero entries in distinct unused rows?"""
+              used: set[int], allowed: frozenset | None = None) -> bool:
+    """Can the remaining columns pick nonzero entries in distinct unused rows?
+
+    With ``allowed`` given, every variable pick must be one of its cells; a
+    forced 1 is always admissible.
+    """
     cols = list(cols)
 
     def rec(k: int) -> bool:
@@ -147,6 +149,8 @@ def _complete(prow, pcol, rows: tuple[int, ...], cols: Iterable[int],
         j = cols[k]
         for i in rows:
             if i not in used and _nonzero(prow, pcol, i, j):
+                if allowed is not None and prow[j] != i and (i, j) not in allowed:
+                    continue
                 used.add(i)
                 if rec(k + 1):
                     used.remove(i)
@@ -190,23 +194,7 @@ def exists_nonzero_path_through(m: MinorSpec, v: Permutation, cell: Cell) -> boo
         raise ValueError(f"{cell} is not a cell of {m}")
     if not _nonzero(prow, pcol, cell.row, cell.col) or _is_one(prow, cell.row, cell.col):
         raise ValueError(f"{cell} is not a variable entry")
-
-    def rec(rows: tuple[int, ...], cols: tuple[int, ...]) -> bool:
-        pj = prow[cell.col]
-        if pj in rows:
-            # peel: the path must take a variable from the 1's row, left of the cell
-            for jp in cols:
-                if jp >= cell.col:
-                    break
-                if _nonzero(prow, pcol, pj, jp):
-                    if rec(tuple(r for r in rows if r != pj),
-                           tuple(c for c in cols if c != jp)):
-                        return True
-            return False
-        other = [j for j in cols if j != cell.col]
-        return _complete(prow, pcol, rows, other, {cell.row})
-
-    return rec(m.rows, m.cols)
+    return _complete(prow, pcol, m.rows, (j for j in m.cols if j != cell.col), {cell.row})
 
 
 def is_unit_determinant(m: MinorSpec, v: Permutation) -> bool:

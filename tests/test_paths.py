@@ -159,7 +159,13 @@ class TestFirstColumnScan:
             feasible = any(
                 delta_conditions_hold(m, v, i)
                 for i in rows if not z.entry(Cell(i, cols[0])).is_zero)
-            assert feasible == bool(enumerate_nonzero_paths(m, z))
+            paths = enumerate_nonzero_paths(m, z)
+            assert feasible == bool(paths)
+            for i in rows:
+                for j in cols:
+                    if z.entry(Cell(i, j)).is_variable:
+                        hit = any(Cell(i, j) in p for p in paths)
+                        assert exists_nonzero_path_through(m, v, Cell(i, j)) == hit
 
 
 class TestPathThrough:
