@@ -169,14 +169,14 @@ def necessary_condition_fails(gens: GeneratorSet, z: ZMatrix,
     order) is returned.
     """
     for m in gens.minors:
-        if is_unit_determinant(m, z.v):
+        if is_unit_determinant(m, z):
             raise ValueError("unit generator: the ideal is the whole ring")
     for m in inhom:
         others = [g for g in gens.minors if g != m]
         per_component = []
         for comp in homogeneous_components(determinant(m, z)):
             found = next((mono for mono, _ in comp.terms()
-                          if not any(exists_dividing_term_structural(g, mono, z.v, b=m)
+                          if not any(exists_dividing_term_structural(g, mono, z, b=m)
                                      for g in others)), None)
             if found is None:
                 break
@@ -214,7 +214,7 @@ def _pattern_reason(v: Permutation, w: Permutation) -> str | None:
 def _core_verdict(v: Permutation, w: Permutation, z: ZMatrix, keep: list[MinorSpec],
                   cfg: ClassifierConfig) -> tuple[Verdict, int]:
     """Steps past the discard gates; returns (verdict, inhomogeneous count)."""
-    inhom = [m for m in keep if is_inhomogeneous_det(m, v)]
+    inhom = [m for m in keep if is_inhomogeneous_det(m, z)]
     if not keep:
         return Verdict(VerdictKind.KNOWN_HOMOGENEOUS, reason="no-nonzero-generators"), 0
     if not inhom:
@@ -313,6 +313,8 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
         raise ResourceWarning(f"sweep over S_{n} exceeds the limit {MAX_SWEEP_N}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown format: {fmt}")
     done: set[tuple[str, str]] = set()
     out_path = Path(out) if out is not None else None
     if resume and out_path is not None and out_path.exists():
@@ -325,9 +327,7 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
     else:
         records = [_classify_record(job) for job in jobs]
     if out_path is not None:
-        appending = resume and out_path.exists()
-        _write_records(out_path, fmt, records, append=appending,
-                       header=not appending)
+        _write_records(out_path, fmt, records, append=resume and out_path.exists())
     return records
 
 
@@ -339,8 +339,7 @@ def _read_records(path: Path, fmt: str) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def _write_records(path: Path, fmt: str, records: Iterable[dict],
-                   append: bool, header: bool) -> None:
+def _write_records(path: Path, fmt: str, records: Iterable[dict], append: bool) -> None:
     records = list(records)
     mode = "a" if append else "w"
     if fmt == "jsonl":
@@ -348,11 +347,9 @@ def _write_records(path: Path, fmt: str, records: Iterable[dict],
             for rec in records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
         return
-    if fmt != "csv":
-        raise ValueError(f"unknown format: {fmt}")
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if header:
+    if not append:
         writer.writerow(CSV_HEADER)
     for rec in records:
         writer.writerow([rec[k] for k in CSV_HEADER])

@@ -104,7 +104,7 @@ def cmd_show(args: argparse.Namespace) -> int:
         else:
             det = determinant(m, z)
             degrees = sorted(det.degrees())
-            kind = "inhomogeneous" if is_inhomogeneous_det(m, v) else "homogeneous"
+            kind = "inhomogeneous" if is_inhomogeneous_det(m, z) else "homogeneous"
             status = f"{kind}, degrees {degrees}, det = {det}"
         print(f"  {m} from windows {list(m.windows)}: {status}")
     return EXIT_OK

@@ -67,10 +67,6 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.minors)
 
-    def to_record(self) -> dict:
-        return {"v": str(self.v), "w": str(self.w),
-                "minors": [m.to_record() for m in self.minors]}
-
 
 def required_minor_size(w: Permutation, s: int, t: int) -> int | None:
     """Minor size for window (s, t): rank entry plus one, if it fits.
@@ -186,11 +182,8 @@ def pruned_defining_minors(v: Permutation, w: Permutation) -> GeneratorSet:
     """Defining minors restricted to the windows kept per column."""
     if v.n != w.n:
         raise ValueError(f"size mismatch: {v.n} vs {w.n}")
-    n = w.n
-    windows = []
-    for t in range(1, n + 1):
-        for h in si_sequence_raw(w, t):
-            s = n - h + 1
-            if required_minor_size(w, s, t) is not None:
-                windows.append((s, t))
+    # the column scan visits windows bottom first (top rows descending); that
+    # order fixes the generator order and the window provenance
+    windows = [(s, t) for t in range(1, w.n + 1)
+               for s in reversed(relevant_rows_for_column(w, t))]
     return _collect(v, w, windows)

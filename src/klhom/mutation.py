@@ -61,7 +61,6 @@ class StageTerm:
     coeff: Coeff
     mono: Mono
     tail: tuple[int, Mono]
-    stage: int
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def _add_multiplier(multipliers, gi: int, mono: Mono, coeff: Coeff):
 
 
 def _spawn(multipliers, gens, o_coeff: Coeff, o_mono: Mono,
-           gi: int, gm: Mono, gc: Coeff, stage: int, negate: bool):
+           gi: int, gm: Mono, gc: Coeff, negate: bool):
     """Divide an entry by the chosen generator term and emit the cross terms.
 
     At stage 0 the multiplier quotient reproduces the target term; at later
@@ -159,7 +158,6 @@ def _spawn(multipliers, gens, o_coeff: Coeff, o_mono: Mono,
             coeff=mu_coeff * oc,
             mono=mono_mul(mu_mono, om),
             tail=(gi, om),
-            stage=stage,
         ))
     return multipliers, new_terms
 
@@ -210,8 +208,7 @@ def _expand(state: MutationState, entries, choices: tuple[int, ...] | None,
     outstanding: list[StageTerm] = []
     for (coeff, mono, divs), idx in zip(entries, picked):
         gi, gm, gc = divs[idx]
-        spawned = _spawn(multipliers, state.gens, coeff, mono,
-                         gi, gm, gc, stage=next_stage, negate=negate)
+        spawned = _spawn(multipliers, state.gens, coeff, mono, gi, gm, gc, negate=negate)
         if spawned is None:
             return MutationOutcome(ABRUPT_STOP, state.stage,
                                    reason="multiplier term cancelled")
@@ -243,7 +240,7 @@ def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
                    choices, next_stage=0, negate=False)
 
 
-def mutation_step(state: MutationState, cfg: MutationConfig = MutationConfig(),
+def mutation_step(state: MutationState,
                   choices: tuple[int, ...] | None = None) -> MutationState | MutationOutcome:
     """One stage: cancel, then divide every surviving generated term."""
     frontier = state._frontier
@@ -315,7 +312,7 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
         if isinstance(frontier, MutationOutcome):
             return frontier
         return explore([len(divs) for _, divs in frontier],
-                       lambda vector: mutation_step(state, cfg, choices=vector),
+                       lambda vector: mutation_step(state, choices=vector),
                        state.stage)
 
     options = _target_options(target, gens, target_gen_index)

@@ -230,13 +230,12 @@ def check_path_engine(n: int) -> OracleReport:
     """Determinants, paths, singularity and inhomogeneity vs brute force."""
     from .paths import (delta_conditions_hold, determinant, enumerate_nonzero_paths,
                         exists_nonzero_path_through, has_zero_row_or_col,
-                        is_inhomogeneous_det, is_singular, _nonzero, _pivots)
+                        is_inhomogeneous_det, is_singular)
 
     if n > 4:
         raise ValueError("path-engine cross-check is guarded to n <= 4")
     rep = OracleReport()
     for v, z, m in distinct_pruned_minors(n):
-        prow, pcol = _pivots(v)
         det_fast = determinant(m, z)
         det_ref = laplace_determinant(m, z)
         rep.checked += 1
@@ -248,12 +247,12 @@ def check_path_engine(n: int) -> OracleReport:
             rep.add("singular", f"v={v} {m}")
         zero_scan = any(all(z.entry(Cell(i, j)).is_zero for j in m.cols) for i in m.rows) or \
             any(all(z.entry(Cell(i, j)).is_zero for i in m.rows) for j in m.cols)
-        if has_zero_row_or_col(m, v) != zero_scan:
+        if has_zero_row_or_col(m, z) != zero_scan:
             rep.add("zero-row-col", f"v={v} {m}")
         if m.p >= 2 and not zero_scan:
             feasible = any(
-                delta_conditions_hold(m, v, i)
-                for i in m.rows if _nonzero(prow, pcol, i, m.cols[0]))
+                delta_conditions_hold(m, z, i)
+                for i in m.rows if not z.entry(Cell(i, m.cols[0])).is_zero)
             if feasible != bool(enumerate_nonzero_paths(m, z)):
                 rep.add("first-column-scan", f"v={v} {m}")
         paths = enumerate_nonzero_paths(m, z)
@@ -261,10 +260,10 @@ def check_path_engine(n: int) -> OracleReport:
             for j in m.cols:
                 if z.entry(Cell(i, j)).is_variable:
                     hit = any(Cell(i, j) in p for p in paths)
-                    if exists_nonzero_path_through(m, v, Cell(i, j)) != hit:
+                    if exists_nonzero_path_through(m, z, Cell(i, j)) != hit:
                         rep.add("path-through", f"v={v} {m} cell=({i},{j})")
         spread = det_ref.degrees()
-        if is_inhomogeneous_det(m, v) != (len(spread) >= 2):
+        if is_inhomogeneous_det(m, z) != (len(spread) >= 2):
             rep.add("inhomogeneous-det", f"v={v} {m}")
         # a nonsingular determinant with a constant term must be exactly +-1
         if not det_ref.is_zero and 0 in spread and not det_ref.is_unit_constant:
@@ -305,7 +304,7 @@ def check_divisibility(n: int) -> OracleReport:
                     seen.add(key)
                     for m_b, _ in det_b.terms():
                         rep.checked += 1
-                        fast = exists_dividing_term_structural(a, m_b, v, b=b)
+                        fast = exists_dividing_term_structural(a, m_b, z, b=b)
                         if fast != brute_divisor_exists(a, m_b, z):
                             rep.add("divisibility", f"v={v} A={a} B={b} m={m_b}")
     return rep

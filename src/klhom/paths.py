@@ -6,10 +6,9 @@ nonzero path avoids forced zeros.  The determinant is the signed sum over
 nonzero paths, and distinct nonzero paths never share a variable set, so no
 cancellation can occur (checked during assembly).
 
-All structural tests below work from the pivot pattern alone: an entry in
-bottom-indexed row i, column j is nonzero exactly when it is not above the 1
-of column j and not right of the 1 of row i.  Row indices fed to these tests
-are bottom-indexed, so the 1 of column j sits in row n - v(j) + 1.
+All structural tests below work from the pivot pattern alone, read from the
+``ZMatrix`` they are given: ``zmatrix.nonzero`` is the zero rule, and
+``zmatrix.build_z`` places the 1s (rows bottom-indexed).
 
 Each existence question (is the minor singular, does some nonzero path pick a
 given cell, does some nonzero path use only allowed variables) runs the one
@@ -19,35 +18,12 @@ variable already takes, so any completion picks from that row further left.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import ConsistencyError
 from .minors import MinorSpec
-from .permutations import Permutation
 from .polynomials import Mono, Polynomial, mono_from_vars
-from .zmatrix import Cell, ZMatrix
-
-
-@lru_cache(maxsize=None)
-def _pivots(v: Permutation) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(pivot row of each column, pivot column of each row), 1-based maps."""
-    n = v.n
-    prow = [0] * (n + 1)
-    pcol = [0] * (n + 1)
-    for j in range(1, n + 1):
-        i = n - v(j) + 1
-        prow[j] = i
-        pcol[i] = j
-    return tuple(prow), tuple(pcol)
-
-
-def _nonzero(prow, pcol, i: int, j: int) -> bool:
-    return i <= prow[j] and j <= pcol[i]
-
-
-def _is_one(prow, i: int, j: int) -> bool:
-    return prow[j] == i
+from .zmatrix import Cell, ZMatrix, nonzero
 
 
 Path = tuple[Cell, ...]
@@ -55,7 +31,7 @@ Path = tuple[Cell, ...]
 
 def enumerate_nonzero_paths(m: MinorSpec, z: ZMatrix) -> list[Path]:
     """All nonzero paths, columns left-to-right, rows tried in ascending order."""
-    prow, pcol = _pivots(z.v)
+    prow, pcol = z.prow, z.pcol
     cols = m.cols
     rows = m.rows
     out: list[Path] = []
@@ -67,7 +43,7 @@ def enumerate_nonzero_paths(m: MinorSpec, z: ZMatrix) -> list[Path]:
             return
         j = cols[k]
         for i in rows:
-            if i not in picks and _nonzero(prow, pcol, i, j):
+            if i not in picks and nonzero(prow, pcol, i, j):
                 picks.append(i)
                 rec(k + 1)
                 picks.pop()
@@ -106,14 +82,14 @@ def determinant(m: MinorSpec, z: ZMatrix) -> Polynomial:
     return Polynomial(terms)
 
 
-def has_zero_row_or_col(m: MinorSpec, v: Permutation) -> bool:
+def has_zero_row_or_col(m: MinorSpec, z: ZMatrix) -> bool:
     """Some row or column of the minor consists entirely of forced zeros.
 
     A column dies when its 1 sits below every selected row, or when the 1 is
     outside the selected rows and each selected row below it has its own 1
     strictly to the left.  Rows are the mirror image.
     """
-    prow, pcol = _pivots(v)
+    prow, pcol = z.prow, z.pcol
     rows, cols = m.rows, m.cols
     for j in cols:
         pj = prow[j]
@@ -148,7 +124,7 @@ def _complete(prow, pcol, rows: tuple[int, ...], cols: Iterable[int],
             return True
         j = cols[k]
         for i in rows:
-            if i not in used and _nonzero(prow, pcol, i, j):
+            if i not in used and nonzero(prow, pcol, i, j):
                 if allowed is not None and prow[j] != i and (i, j) not in allowed:
                     continue
                 used.add(i)
@@ -161,53 +137,52 @@ def _complete(prow, pcol, rows: tuple[int, ...], cols: Iterable[int],
     return rec(0)
 
 
-def delta_conditions_hold(m: MinorSpec, v: Permutation, alpha1: int) -> bool:
+def delta_conditions_hold(m: MinorSpec, z: ZMatrix, alpha1: int) -> bool:
     """Starting from the given nonzero pick in the first column, every later
     column still offers a nonzero entry in a fresh row (checked by search, so
     earlier picks can be revised)."""
-    if has_zero_row_or_col(m, v):
+    if has_zero_row_or_col(m, z):
         raise ValueError("minor has a zero row or column; feasibility scan does not apply")
-    prow, pcol = _pivots(v)
-    if alpha1 not in m.rows or not _nonzero(prow, pcol, alpha1, m.cols[0]):
+    prow, pcol = z.prow, z.pcol
+    if alpha1 not in m.rows or not nonzero(prow, pcol, alpha1, m.cols[0]):
         raise ValueError(f"row {alpha1} is not a nonzero entry of column {m.cols[0]}")
     return _complete(prow, pcol, m.rows, m.cols[1:], {alpha1})
 
 
 def is_singular(m: MinorSpec, z: ZMatrix) -> bool:
     """True iff the minor has no nonzero path (equivalently, determinant 0)."""
-    prow, pcol = _pivots(z.v)
+    prow, pcol = z.prow, z.pcol
     if m.p == 1:
-        return not _nonzero(prow, pcol, m.rows[0], m.cols[0])
-    if has_zero_row_or_col(m, z.v):
+        return not nonzero(prow, pcol, m.rows[0], m.cols[0])
+    if has_zero_row_or_col(m, z):
         return True
     j1 = m.cols[0]
     return not any(
-        delta_conditions_hold(m, z.v, i)
-        for i in m.rows if _nonzero(prow, pcol, i, j1)
+        delta_conditions_hold(m, z, i)
+        for i in m.rows if nonzero(prow, pcol, i, j1)
     )
 
 
-def exists_nonzero_path_through(m: MinorSpec, v: Permutation, cell: Cell) -> bool:
+def exists_nonzero_path_through(m: MinorSpec, z: ZMatrix, cell: Cell) -> bool:
     """True iff some nonzero path of the minor picks the given variable cell."""
-    prow, pcol = _pivots(v)
+    prow, pcol = z.prow, z.pcol
     if cell.row not in m.rows or cell.col not in m.cols:
         raise ValueError(f"{cell} is not a cell of {m}")
-    if not _nonzero(prow, pcol, cell.row, cell.col) or _is_one(prow, cell.row, cell.col):
+    if not nonzero(prow, pcol, cell.row, cell.col) or prow[cell.col] == cell.row:
         raise ValueError(f"{cell} is not a variable entry")
     return _complete(prow, pcol, m.rows, (j for j in m.cols if j != cell.col), {cell.row})
 
 
-def is_unit_determinant(m: MinorSpec, v: Permutation) -> bool:
+def is_unit_determinant(m: MinorSpec, z: ZMatrix) -> bool:
     """True iff the determinant is exactly +1 or -1.
 
     That happens precisely when every column's 1 falls inside the minor: the
     all-ones path then exists and forces out every other path.
     """
-    prow, _ = _pivots(v)
-    return all(prow[j] in m.rows for j in m.cols)
+    return all(z.prow[j] in m.rows for j in m.cols)
 
 
-def is_inhomogeneous_det(m: MinorSpec, v: Permutation) -> bool:
+def is_inhomogeneous_det(m: MinorSpec, z: ZMatrix) -> bool:
     """True iff the determinant mixes degrees.
 
     This happens exactly when some column carries its 1 inside the minor with
@@ -217,7 +192,7 @@ def is_inhomogeneous_det(m: MinorSpec, v: Permutation) -> bool:
     """
     if m.p == 1:
         return False
-    prow, pcol = _pivots(v)
+    prow, pcol = z.prow, z.pcol
     for j in m.cols:
         pj = prow[j]
         if pj not in m.rows:
@@ -225,7 +200,7 @@ def is_inhomogeneous_det(m: MinorSpec, v: Permutation) -> bool:
         for i in m.rows:
             if i >= pj:
                 break
-            if _nonzero(prow, pcol, i, j) and exists_nonzero_path_through(m, v, Cell(i, j)):
+            if nonzero(prow, pcol, i, j) and exists_nonzero_path_through(m, z, Cell(i, j)):
                 return True
     return False
 

@@ -151,9 +151,6 @@ class Polynomial:
             acc[m] = acc.get(m, 0) - c
         return Polynomial(acc)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         acc: dict[Mono, Coeff] = {}
         for ma, ca in self._terms.items():

@@ -7,6 +7,10 @@ bottom row) and columns from the left.  Every entry strictly to the right of
 a 1 in its row is 0, every entry strictly above a 1 in its column is 0, and
 all remaining entries are free variables ``z_{i,j}``.
 
+This module is the one place that decides the pattern: ``build_z`` places the
+1s and ``nonzero`` is the zero rule.  Every structural routine in ``paths``
+and ``divisibility`` reads the pivot maps of the ``ZMatrix`` it is given.
+
 Rows are bottom-indexed everywhere in this package; the pretty-printer is the
 only place that re-orders rows (it prints the top row first, the way the
 matrix is usually drawn).
@@ -14,6 +18,7 @@ matrix is usually drawn).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .permutations import Permutation
@@ -62,15 +67,24 @@ ONE = ZEntry("one")
 ZERO = ZEntry("zero")
 
 
+def nonzero(prow, pcol, i: int, j: int) -> bool:
+    """The zero rule: cell (i, j) is not above the 1 of column j and not right
+    of the 1 of row i.  ``prow`` and ``pcol`` are the pivot maps of a ZMatrix."""
+    return i <= prow[j] and j <= pcol[i]
+
+
 @dataclass(frozen=True)
 class ZMatrix:
-    """The pivot pattern of v plus lazy entry classification."""
+    """The pivot pattern of v plus lazy entry classification.
+
+    Both pivot maps are 1-based tuples whose index 0 is unused: ``prow[j]`` is
+    the bottom-indexed row of column j's 1, and ``pcol[i]`` the column of row
+    i's 1.
+    """
 
     v: Permutation
-    # pivot_row_of_col[j-1] = bottom-indexed row of the 1 in column j
-    pivot_row_of_col: tuple[int, ...]
-    # pivot_col_of_row[i-1] = column of the 1 in bottom-indexed row i
-    pivot_col_of_row: tuple[int, ...]
+    prow: tuple[int, ...]
+    pcol: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -86,27 +100,32 @@ class ZMatrix:
         n = self.n
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"cell out of range: {cell}")
-        pivot_row = self.pivot_row_of_col[j - 1]
-        if i == pivot_row:
+        if i == self.prow[j]:
             return ONE
-        if i > pivot_row or j > self.pivot_col_of_row[i - 1]:
+        if not nonzero(self.prow, self.pcol, i, j):
             return ZERO
         return ZEntry("variable", cell)
 
 
+@lru_cache(maxsize=None)
 def build_z(v: Permutation) -> ZMatrix:
-    """Construct the matrix pattern for v (column j pivots in row n - v(j) + 1).
+    """The matrix pattern for v (column j pivots in row n - v(j) + 1), built
+    once per v.
 
     >>> z = build_z(Permutation.parse("2314"))
-    >>> z.pivot_row_of_col
-    (3, 2, 4, 1)
+    >>> z.prow
+    (0, 3, 2, 4, 1)
+    >>> z.pcol
+    (0, 4, 2, 1, 3)
     """
     n = v.n
-    pivot_row_of_col = tuple(n - v(j) + 1 for j in range(1, n + 1))
-    pivot_col_of_row = [0] * n
-    for j, i in enumerate(pivot_row_of_col, start=1):
-        pivot_col_of_row[i - 1] = j
-    return ZMatrix(v, pivot_row_of_col, tuple(pivot_col_of_row))
+    prow = [0] * (n + 1)
+    pcol = [0] * (n + 1)
+    for j in range(1, n + 1):
+        i = n - v(j) + 1
+        prow[j] = i
+        pcol[i] = j
+    return ZMatrix(v, tuple(prow), tuple(pcol))
 
 
 def format_grid(z: ZMatrix, rows: tuple[int, ...] | None = None,

@@ -97,7 +97,7 @@ class TestCriterion03:
         ok = got == expected_terms
         # signs are pinned by exact agreement with the cofactor oracle
         ok &= det == laplace_determinant(m, z)
-        ok &= is_inhomogeneous_det(m, v)
+        ok &= is_inhomogeneous_det(m, z)
         ok &= {next(iter(c.degrees())) for c in homogeneous_components(det)} == {3, 2}
         elapsed = done()
         report_line(3, ok, f"{elapsed * 1000:.0f}ms")
@@ -112,7 +112,7 @@ class TestCriterion04:
         mismatches = []
         for v, z, m in s4_distinct_minors:
             spread = laplace_determinant(m, z).degrees()
-            if is_inhomogeneous_det(m, v) != (len(spread) >= 2):
+            if is_inhomogeneous_det(m, z) != (len(spread) >= 2):
                 mismatches.append((str(v), m))
         elapsed = done()
         report_line(4, not mismatches,
@@ -132,11 +132,11 @@ class TestCriterion05:
                 mismatches.append(("nonzero-path-criterion", str(v), m))
             scan = any(all(z.entry(Cell(i, j)).is_zero for j in m.cols) for i in m.rows) \
                 or any(all(z.entry(Cell(i, j)).is_zero for i in m.rows) for j in m.cols)
-            if has_zero_row_or_col(m, v) != scan:
+            if has_zero_row_or_col(m, z) != scan:
                 mismatches.append(("zero-row-col", str(v), m))
             if m.p >= 2 and not scan:
                 feasible = any(
-                    delta_conditions_hold(m, v, i) for i in m.rows
+                    delta_conditions_hold(m, z, i) for i in m.rows
                     if not z.entry(Cell(i, m.cols[0])).is_zero)
                 if feasible != bool(paths):
                     mismatches.append(("first-column-feasibility", str(v), m))
@@ -144,7 +144,7 @@ class TestCriterion05:
                 for j in m.cols:
                     if z.entry(Cell(i, j)).is_variable:
                         hit = any(Cell(i, j) in p for p in paths)
-                        if exists_nonzero_path_through(m, v, Cell(i, j)) != hit:
+                        if exists_nonzero_path_through(m, z, Cell(i, j)) != hit:
                             mismatches.append(("path-through", str(v), m, (i, j)))
         elapsed = done()
         report_line(5, not mismatches, f"{elapsed:.1f}s")

@@ -286,3 +286,12 @@ class TestSweep:
     def test_resource_limit(self):
         with pytest.raises(ResourceWarning):
             sweep(7)
+
+    def test_unknown_format_rejected_before_classifying(self, tmp_path, monkeypatch):
+        def no_classify(*args, **kwargs):
+            raise AssertionError("classify ran before the format check")
+
+        monkeypatch.setattr(klhom.classifier, "classify", no_classify)
+        with pytest.raises(ValueError, match="unknown format"):
+            sweep(2, out=tmp_path / "r.xml", fmt="xml")
+        assert not (tmp_path / "r.xml").exists()

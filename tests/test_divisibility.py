@@ -30,23 +30,22 @@ class TestTermDivides:
 class TestStructuralCriterion:
     def test_subminor_with_contained_path(self):
         # the 2x2 lower-left corner inside the 3x3 window of v=23451
-        v = P("23451")
-        z = build_z(v)
+        z = build_z(P("23451"))
         big = MinorSpec((1, 2, 3), (1, 2, 3))
         small = MinorSpec((1, 2), (1, 2))
         assert is_subminor(small, big)
         for m_b, _ in determinant(big, z).terms():
             expected = brute_divisor_exists(small, m_b, z)
-            assert exists_dividing_term_structural(small, m_b, v, b=big) == expected
+            assert exists_dividing_term_structural(small, m_b, z, b=big) == expected
 
     def test_disjoint_minor_without_forced_ones_fails(self):
         # rows {1,2} x cols {1,2} of v=2143 is all-variable, so against a
         # dividend sharing nothing with it no term can divide
-        v = P("2143")
+        z = build_z(P("2143"))
         a = MinorSpec((1, 2), (1, 2))
         b = MinorSpec((3, 4), (3, 4))
         m_b = mono((3, 3), (4, 4))
-        assert not exists_dividing_term_structural(a, m_b, v, b=b)
+        assert not exists_dividing_term_structural(a, m_b, z, b=b)
 
     def test_exhaustive_s3(self):
         for v in all_permutations(3):
@@ -61,7 +60,7 @@ class TestStructuralCriterion:
                         if a == b:
                             continue
                         for m_b, _ in det_b.terms():
-                            assert exists_dividing_term_structural(a, m_b, v, b=b) == \
+                            assert exists_dividing_term_structural(a, m_b, z, b=b) == \
                                 brute_divisor_exists(a, m_b, z)
 
     def test_exhaustive_s4_via_oracle_suite(self):
@@ -83,7 +82,7 @@ class TestStructuralCriterion:
                 continue
             for m_b, _ in det_b.terms():
                 checked += 1
-                assert exists_dividing_term_structural(a, m_b, v, b=b) == \
+                assert exists_dividing_term_structural(a, m_b, z, b=b) == \
                     brute_divisor_exists(a, m_b, z)
 
 

@@ -66,7 +66,7 @@ def rewrite_components(v, w):
     z, _, keep = working_generators(v, w)
     gen_polys = [determinant(m, z) for m in keep]
     for idx, m in enumerate(keep):
-        if is_inhomogeneous_det(m, v):
+        if is_inhomogeneous_det(m, z):
             for comp in homogeneous_components(gen_polys[idx]):
                 if not run_mutation(comp, gen_polys, target_gen_index=idx).terminated:
                     return
@@ -257,10 +257,10 @@ class TestCancelOutstanding:
     @example([(0, 2), (0, Fraction(2)), (0, -2), (1, 1), (0, Fraction(-2)), (0, -2),
               (1, -1), (1, 1), (0, 2)])
     def test_matches_the_quadratic_scan(self, spec):
-        # each term's stage is its input position, so the comparison sees
-        # which of several equal terms survived, not just their values
-        terms = tuple(StageTerm(coeff=c, mono=CANCEL_MONOS[i], tail=(0, CANCEL_MONOS[i]),
-                                stage=pos)
+        # each term's tail carries its input position (cancellation ignores
+        # tails), so the comparison sees which of several equal terms
+        # survived, not just their values
+        terms = tuple(StageTerm(coeff=c, mono=CANCEL_MONOS[i], tail=(pos, CANCEL_MONOS[i]))
                       for pos, (i, c) in enumerate(spec))
         got = cancel_outstanding(terms)
-        assert [t.stage for t in got] == [t.stage for t in cancel_by_scan(terms)]
+        assert [t.tail for t in got] == [t.tail for t in cancel_by_scan(terms)]

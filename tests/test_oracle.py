@@ -106,6 +106,8 @@ class TestReport:
         rep.add("x", "detail")
         assert not rep.passed and "FAIL" in rep.summary()
 
-    def test_full_suite_n3(self):
-        rep = run_verification(3)
+    @pytest.mark.parametrize("n, comparisons", [(3, 196), (4, 3894)], ids=["3", "4"])
+    def test_full_suite(self, n, comparisons):
+        rep = run_verification(n)
         assert rep.passed, rep.summary()
+        assert rep.checked == comparisons

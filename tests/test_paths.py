@@ -93,7 +93,7 @@ class TestSingularity:
     def test_golden_33_window_nonsingular(self):
         z = build_z(P("23451"))
         assert not is_singular(M33, z)
-        assert not has_zero_row_or_col(M33, P("23451"))
+        assert not has_zero_row_or_col(M33, z)
 
     def test_p1_by_entry(self):
         z = build_z(P("2314"))
@@ -109,38 +109,37 @@ class TestSingularity:
 class TestZeroRowOrCol:
     def test_forced_zero_column(self):
         # column 1 of v=2314 pivots in row 3; rows {4} lie above it
-        v = P("2314")
-        assert has_zero_row_or_col(MinorSpec((4,), (1,)), v)
+        z = build_z(P("2314"))
+        assert has_zero_row_or_col(MinorSpec((4,), (1,)), z)
 
     def test_matches_entry_scan_s4(self):
         for v, z, m in s4_population():
             scan = any(all(z.entry(Cell(i, j)).is_zero for j in m.cols) for i in m.rows) \
                 or any(all(z.entry(Cell(i, j)).is_zero for i in m.rows) for j in m.cols)
-            assert has_zero_row_or_col(m, v) == scan
+            assert has_zero_row_or_col(m, z) == scan
 
 
 class TestFirstColumnScan:
     def test_golden_all_first_column_picks_work(self):
-        v = P("23451")
+        z = build_z(P("23451"))
         for alpha1 in (1, 2, 3):
-            assert delta_conditions_hold(M33, v, alpha1)
+            assert delta_conditions_hold(M33, z, alpha1)
 
     def test_blocked_second_column(self):
         # column 4 pivots in row 1, so its only nonzero entry is row 1;
         # picking row 1 from the first column starves it
-        v = P("23451")
-        z = build_z(v)
+        z = build_z(P("23451"))
         m = MinorSpec((1, 2), (1, 4))
         assert z.entry(Cell(2, 4)).is_zero and z.entry(Cell(1, 4)).is_one
-        assert not delta_conditions_hold(m, v, 1)
-        assert delta_conditions_hold(m, v, 2)
+        assert not delta_conditions_hold(m, z, 1)
+        assert delta_conditions_hold(m, z, 2)
 
     def test_precondition_errors(self):
-        v = P("2314")
+        z = build_z(P("2314"))
         with pytest.raises(ValueError):
-            delta_conditions_hold(MinorSpec((4,), (1,)), v, 4)   # zero column
+            delta_conditions_hold(MinorSpec((4,), (1,)), z, 4)   # zero column
         with pytest.raises(ValueError):
-            delta_conditions_hold(MinorSpec((1, 2), (1, 2)), v, 3)  # not a row
+            delta_conditions_hold(MinorSpec((1, 2), (1, 2)), z, 3)  # not a row
 
     def test_random_s5_match_enumeration(self):
         rng = random.Random(991)
@@ -153,11 +152,11 @@ class TestFirstColumnScan:
             rows = tuple(sorted(rng.sample(range(1, 6), p)))
             cols = tuple(sorted(rng.sample(range(1, 6), p)))
             m = MinorSpec(rows, cols)
-            if has_zero_row_or_col(m, v):
+            if has_zero_row_or_col(m, z):
                 continue
             checked += 1
             feasible = any(
-                delta_conditions_hold(m, v, i)
+                delta_conditions_hold(m, z, i)
                 for i in rows if not z.entry(Cell(i, cols[0])).is_zero)
             paths = enumerate_nonzero_paths(m, z)
             assert feasible == bool(paths)
@@ -165,21 +164,21 @@ class TestFirstColumnScan:
                 for j in cols:
                     if z.entry(Cell(i, j)).is_variable:
                         hit = any(Cell(i, j) in p for p in paths)
-                        assert exists_nonzero_path_through(m, v, Cell(i, j)) == hit
+                        assert exists_nonzero_path_through(m, z, Cell(i, j)) == hit
 
 
 class TestPathThrough:
     def test_golden_z13(self):
-        assert exists_nonzero_path_through(M33, P("23451"), Cell(1, 3))
+        assert exists_nonzero_path_through(M33, build_z(P("23451")), Cell(1, 3))
 
     def test_rejects_non_variable_cells(self):
-        v = P("23451")
+        z = build_z(P("23451"))
         with pytest.raises(ValueError):
-            exists_nonzero_path_through(M33, v, Cell(3, 2))  # the forced 1
+            exists_nonzero_path_through(M33, z, Cell(3, 2))  # the forced 1
         with pytest.raises(ValueError):
-            exists_nonzero_path_through(M33, v, Cell(3, 3))  # a forced 0
+            exists_nonzero_path_through(M33, z, Cell(3, 3))  # a forced 0
         with pytest.raises(ValueError):
-            exists_nonzero_path_through(M33, v, Cell(4, 4))  # outside the minor
+            exists_nonzero_path_through(M33, z, Cell(4, 4))  # outside the minor
 
     def test_matches_filtered_enumeration_s4(self):
         for v, z, m in s4_population():
@@ -188,26 +187,26 @@ class TestPathThrough:
                 for j in m.cols:
                     if z.entry(Cell(i, j)).is_variable:
                         hit = any(Cell(i, j) in p for p in paths)
-                        assert exists_nonzero_path_through(m, v, Cell(i, j)) == hit
+                        assert exists_nonzero_path_through(m, z, Cell(i, j)) == hit
 
 
 class TestInhomogeneity:
     def test_printed_3x3_is_inhomogeneous(self):
-        det = determinant(M33, build_z(V_PRINTED))
-        assert is_inhomogeneous_det(M33, V_PRINTED)
-        assert det.degrees() == {2, 3}
+        z = build_z(V_PRINTED)
+        assert is_inhomogeneous_det(M33, z)
+        assert determinant(M33, z).degrees() == {2, 3}
 
     def test_no_ones_minor_is_homogeneous(self):
         # all-variable block: plain degree-p homogeneous determinant
-        assert not is_inhomogeneous_det(MinorSpec((1, 2), (1, 2)), P("2143"))
+        assert not is_inhomogeneous_det(MinorSpec((1, 2), (1, 2)), build_z(P("2143")))
 
     def test_p1_is_homogeneous(self):
-        assert not is_inhomogeneous_det(MinorSpec((1,), (1,)), P("2314"))
+        assert not is_inhomogeneous_det(MinorSpec((1,), (1,)), build_z(P("2314")))
 
     def test_matches_degree_spread_s4(self):
         for v, z, m in s4_population():
             spread = determinant(m, z).degrees()
-            assert is_inhomogeneous_det(m, v) == (len(spread) >= 2)
+            assert is_inhomogeneous_det(m, z) == (len(spread) >= 2)
 
     def test_matches_degree_spread_sampled_s5_s6(self):
         rng = random.Random(424242)
@@ -220,7 +219,7 @@ class TestInhomogeneity:
                 m = MinorSpec(tuple(sorted(rng.sample(range(1, n + 1), p))),
                               tuple(sorted(rng.sample(range(1, n + 1), p))))
                 spread = determinant(m, z).degrees()
-                assert is_inhomogeneous_det(m, v) == (len(spread) >= 2)
+                assert is_inhomogeneous_det(m, z) == (len(spread) >= 2)
 
 
 class TestStructuralObservations:
@@ -231,7 +230,7 @@ class TestStructuralObservations:
                 continue
             if 0 in det.degrees():
                 assert det.is_unit_constant
-            assert is_unit_determinant(m, v) == det.is_unit_constant
+            assert is_unit_determinant(m, z) == det.is_unit_constant
 
     def test_no_intra_determinant_division_s4(self):
         for v, z, m in s4_population():

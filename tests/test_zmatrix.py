@@ -41,7 +41,8 @@ class TestBuildZ:
     def test_identity_pivots(self):
         for n in (1, 3, 5):
             z = build_z(Permutation.identity(n))
-            assert z.pivot_row_of_col == tuple(n - j for j in range(n))
+            assert z.prow == (0,) + tuple(n - j for j in range(n))
+            assert z.pcol == (0,) + tuple(n - i for i in range(n))
 
     def test_render_string(self):
         text = format_matrix(build_z(P("2314")))
