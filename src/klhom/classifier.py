@@ -29,6 +29,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -90,10 +91,21 @@ class ComponentCertificate:
         }
 
 
+# one encoder serves the digests and the JSONL writer; it gives the bytes of
+# json.dumps(obj, sort_keys=True) without building an encoder per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _digest(record: dict) -> str:
     """The 12-hex-digit digest of a verdict record."""
-    blob = json.dumps(record, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return hashlib.sha256(_encode(record).encode()).hexdigest()[:12]
+
+
+@lru_cache(maxsize=None)
+def _plain_digest(kind: VerdictKind, reason: str) -> str:
+    """The digest of a verdict with neither witness nor certificates, whose
+    record holds its kind and reason alone."""
+    return _digest(Verdict(kind, reason).to_record())
 
 
 @dataclass(frozen=True)
@@ -111,8 +123,11 @@ class Verdict:
             rec["certificates"] = [c.to_record() for c in self.certificates]
         return rec
 
-    def digest(self) -> str:
-        return _digest(self.to_record())
+    def digest(self, record: dict | None = None) -> str:
+        """The digest of :meth:`to_record`; pass that record if it is built."""
+        if self.witness is None and self.certificates is None:
+            return _plain_digest(self.kind, self.reason)
+        return _digest(self.to_record() if record is None else record)
 
 
 @dataclass(frozen=True)
@@ -138,7 +153,7 @@ class ClassificationReport:
             "v": str(self.v), "w": str(self.w),
             "verdict": self.verdict.kind.value,
             "reason": self.verdict.reason,
-            "digest": _digest(detail),
+            "digest": self.verdict.digest(detail),
             "gens_before": self.gens_before,
             "gens_after": self.gens_after,
             "n_singular": self.n_singular,
@@ -305,9 +320,9 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
           fmt: str = "csv", workers: int = 1, resume: bool = False) -> list[dict]:
     """Classify every pair in S_n x S_n, in lexicographic word order.
 
-    Writes CSV (fixed header) or JSONL when ``out`` is given; with ``resume``
-    the pairs already present in the output file are skipped.  Records are
-    returned in order either way.
+    Writes CSV (fixed header) or JSONL when ``out`` is given.  With
+    ``resume`` the pairs already present in the output file are skipped, and
+    only the newly classified records are appended and returned, in order.
     """
     if n > MAX_SWEEP_N:
         raise ResourceWarning(f"sweep over S_{n} exceeds the limit {MAX_SWEEP_N}")
@@ -344,8 +359,7 @@ def _write_records(path: Path, fmt: str, records: Iterable[dict], append: bool) 
     mode = "a" if append else "w"
     if fmt == "jsonl":
         with path.open(mode) as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.writelines(_encode(rec) + "\n" for rec in records)
         return
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -19,12 +19,17 @@ everything else is reported as undetermined, never as a homogeneity claim.
 Each step keeps sum multipliers * gens = target + sum outstanding by
 construction and does not re-check it: a slip could only lose a certificate
 to that exact re-check, never yield a wrong verdict.
+
+Precondition: every generator coefficient is ±1, as every coefficient of a
+Kazhdan-Lusztig determinant is.  For gc = ±1 the quotient c / gc equals
+c * gc, so each division is an integer multiplication and every coefficient
+stays an ``int``.  :func:`run_mutation` and :func:`stage0_setup` raise
+``ValueError`` on any other generator coefficient.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import ConsistencyError
@@ -120,6 +125,14 @@ def _divisors_for(mono: Mono, gens: tuple[Polynomial, ...],
     return out
 
 
+def _require_unit_coeffs(gens: tuple[Polynomial, ...]) -> None:
+    """Raise unless every generator coefficient is ±1 (see the module docstring)."""
+    for g in gens:
+        for _, c in g.terms():
+            if c != 1 and c != -1:
+                raise ValueError(f"generator coefficient {c} is not ±1 in {g}")
+
+
 def _add_multiplier(multipliers, gi: int, mono: Mono, coeff: Coeff):
     """Extend one multiplier; None signals a forbidden cancellation."""
     table = dict(multipliers[gi])
@@ -144,7 +157,7 @@ def _spawn(multipliers, gens, o_coeff: Coeff, o_mono: Mono,
     negated.
     """
     mu_mono = mono_div(o_mono, gm)
-    mu_coeff = Fraction(o_coeff) / gc
+    mu_coeff = o_coeff * gc  # == o_coeff / gc, since gc is ±1
     if negate:
         mu_coeff = -mu_coeff
     multipliers = _add_multiplier(multipliers, gi, mu_mono, mu_coeff)
@@ -227,6 +240,7 @@ def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     canonical order); the default takes the first of each.
     """
     gens = tuple(gens)
+    _require_unit_coeffs(gens)
     state = MutationState(
         target=target, gens=gens,
         multipliers=tuple(() for _ in gens),
@@ -263,7 +277,7 @@ def _trivial_scaling(target: Polynomial, gens: tuple[Polynomial, ...]):
         g_terms = g.terms()
         if len(g_terms) != len(t_terms) or g.is_zero:
             continue
-        c = Fraction(t_terms[0][1]) / g_terms[0][1]
+        c = t_terms[0][1] * g_terms[0][1]  # == t0 / g0, since g0 is ±1
         if target == g.scaled(c):
             return j, c
     return None
@@ -279,6 +293,7 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     sum g_j * f_j == target exactly.
     """
     gens = tuple(gens)
+    _require_unit_coeffs(gens)
     if target.is_zero:
         return MutationOutcome(TERMINATED, 0,
                                certificate=tuple(Polynomial.zero() for _ in gens))

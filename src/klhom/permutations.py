@@ -49,9 +49,7 @@ class Permutation:
         return self.word[i - 1]
 
     def __str__(self) -> str:
-        if self.n < 10:
-            return "".join(str(x) for x in self.word)
-        return ",".join(str(x) for x in self.word)
+        return _word_text(self.word)
 
     @staticmethod
     def parse(text: str) -> "Permutation":
@@ -71,6 +69,11 @@ class Permutation:
     def longest(n: int) -> "Permutation":
         """The order-reversing word n n-1 ... 1."""
         return Permutation(tuple(range(n, 0, -1)))
+
+
+@lru_cache(maxsize=None)
+def _word_text(word: tuple[int, ...]) -> str:
+    return ("" if len(word) < 10 else ",").join(map(str, word))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

@@ -7,16 +7,17 @@ strings are the two kinds used here.  The terms of a determinant are
 squarefree (a path hits each row and column at most once), so
 :func:`mono_from_vars` builds them straight from a path's variable cells.
 
-Coefficients are exact (int, or Fraction when a quotient demands it).
+Coefficients are exact integers.  Every determinant coefficient here is
+±1, and the rewriting search only ever divides by such a coefficient, so no
+quotient leaves the integers.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Hashable, Iterable
 
 Var = Hashable
 Mono = tuple[tuple[Var, int], ...]
-Coeff = int | Fraction
+Coeff = int
 
 EMPTY_MONO: Mono = ()
 
@@ -71,12 +72,6 @@ def _mono_str(m: Mono) -> str:
     return "·".join(parts)
 
 
-def _norm_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 def mono_sort_key(m: Mono):
     """Canonical order: total degree, then the sorted variable tuple."""
     return (mono_degree(m), m)
@@ -88,13 +83,7 @@ class Polynomial:
     __slots__ = ("_terms", "_hash", "_order")
 
     def __init__(self, terms: dict[Mono, Coeff] | None = None):
-        cleaned = {}
-        if terms:
-            for m, c in terms.items():
-                c = _norm_coeff(c)
-                if c != 0:
-                    cleaned[m] = c
-        self._terms = cleaned
+        self._terms = {m: c for m, c in terms.items() if c} if terms else {}
         self._hash: int | None = None
         # canonical term order, filled on first use; not part of the value
         self._order: tuple[tuple[Mono, Coeff], ...] | None = None

@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import pytest
 
 import klhom
 from klhom.classifier import (CSV_HEADER, ClassifierConfig, ConsistencyError, VerdictKind,
-                              classify, necessary_condition_fails, sweep,
+                              _digest, classify, necessary_condition_fails, sweep,
                               verify_inhomogeneity_witness, working_generators)
 from klhom.minors import GeneratorSet, enumerate_defining_minors
 from klhom.oracle import laplace_determinant
@@ -275,6 +277,25 @@ class TestSweep:
         assert len(final) == 4
         assert {(r["v"], r["w"]) for r in final} == \
             {(str(v), str(w)) for v in all_permutations(2) for w in all_permutations(2)}
+
+    def test_jsonl_bytes_and_digests(self, tmp_path):
+        # the file holds json.dumps(record, sort_keys=True) per line, and each
+        # digest is the sha256 of the sorted JSON of the record's detail
+        out = tmp_path / "s3.jsonl"
+        records = sweep(3, NO_SHORTCUT, out=out, fmt="jsonl")
+        expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        assert out.read_bytes() == expected.encode()
+        for r in records:
+            blob = json.dumps(r["detail"], sort_keys=True).encode()
+            assert r["digest"] == hashlib.sha256(blob).hexdigest()[:12]
+        assert {"witness", "certificates"} <= {k for r in records for k in r["detail"]}
+
+    def test_plain_verdict_digest_memo(self, s4_reports_no_shortcut):
+        plain = [r.verdict for r in s4_reports_no_shortcut.values()
+                 if r.verdict.witness is None and r.verdict.certificates is None]
+        assert plain
+        for verdict in plain:
+            assert verdict.digest() == _digest(verdict.to_record())
 
     def test_parallel_matches_serial(self):
         serial = sweep(2)

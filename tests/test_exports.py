@@ -33,8 +33,8 @@ def test_traced_benchmark_hooks_resolve():
         assert callable(getattr(module, fn_name, None)), f"klhom.{module_name}.{fn_name}"
 
 
-def test_sympy_stays_out_of_the_package():
-    # sympy is a test-time oracle only; the package must run without it
+def _package_imports_of(top: str) -> tuple[list, list]:
+    """The modules of src/klhom, and the file:line of each import of ``top``."""
     sources = sorted((Path(__file__).resolve().parents[1] / "src" / "klhom").glob("*.py"))
     offenders = []
     for path in sources:
@@ -46,5 +46,18 @@ def test_sympy_stays_out_of_the_package():
             else:
                 continue
             offenders += [f"{path.name}:{node.lineno}" for name in names
-                          if name.split(".")[0] == "sympy"]
+                          if name.split(".")[0] == top]
+    return sources, offenders
+
+
+def test_sympy_stays_out_of_the_package():
+    # sympy is a test-time oracle only; the package must run without it
+    sources, offenders = _package_imports_of("sympy")
+    assert sources and not offenders, offenders
+
+
+def test_fractions_stay_out_of_the_package():
+    # every coefficient is an int: generator coefficients are ±1, so the
+    # rewriting search divides by multiplying
+    sources, offenders = _package_imports_of("fractions")
     assert sources and not offenders, offenders

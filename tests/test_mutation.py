@@ -184,6 +184,13 @@ class TestRunMutation:
         assert out.terminated
         assert verify_certificate(out, Polynomial.zero(), HARNESS)
 
+    @pytest.mark.parametrize("entry", [run_mutation, stage0_setup])
+    def test_non_unit_generator_coefficient_rejected(self, entry):
+        # dividing by a generator coefficient is multiplying by it only for ±1
+        gens = (F1, F2, poly((2, "x1", "x3"), (1, "x2", "x3", "x4")))
+        with pytest.raises(ValueError, match="not ±1"):
+            entry(TARGET, gens)
+
 
 class TestCertificates:
     def test_verify_rejects_tampering(self):
@@ -212,6 +219,12 @@ class TestCertificates:
                     total = total + mult * gen
                 assert total == target
         assert seen > 0
+
+    def test_s4_multiplier_coefficients_are_ints(self, s4_reports_no_shortcut):
+        coeffs = [c for report in s4_reports_no_shortcut.values()
+                  for cert in report.verdict.certificates or ()
+                  for mult in cert.multipliers for _, c in mult.terms()]
+        assert coeffs and all(type(c) is int for c in coeffs)
 
 
 class TestLedger:

@@ -38,6 +38,9 @@ class TestPermutation:
         big = Permutation(tuple([10] + list(range(1, 10))))
         assert str(big) == "10,1,2,3,4,5,6,7,8,9"
         assert Permutation.parse(str(big)) == big
+        eleven = Permutation((11, 3, 1, 2, 4, 5, 6, 7, 8, 9, 10))
+        assert str(eleven) == "11,3,1,2,4,5,6,7,8,9,10"
+        assert Permutation.parse(str(eleven)) == eleven
 
     def test_inverse_golden(self):
         assert inverse(P("2314")) == P("3124")

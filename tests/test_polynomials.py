@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -58,12 +56,6 @@ class TestPolynomialAlgebra:
         for d in f.degrees():
             total = total + f.degree_slice(d)
         assert total == f
-
-    def test_fraction_coefficients_normalize(self):
-        f = Polynomial({mono_from_vars(["x1"]): Fraction(4, 2)})
-        assert f.coeff(mono_from_vars(["x1"])) == 2
-        g = Polynomial({mono_from_vars(["x1"]): Fraction(1, 2)})
-        assert g.scaled(2) == Polynomial({mono_from_vars(["x1"]): 1})
 
     def test_zero_coefficients_dropped(self):
         f = Polynomial({mono_from_vars(["x1"]): 0})
