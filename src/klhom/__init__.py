@@ -18,8 +18,7 @@ from .minors import (GeneratorSet, MinorSpec, defining_minor_count,
                      relevant_rows_for_column, required_minor_size, si_sequence_raw)
 from .mutation import (MutationConfig, MutationOutcome, MutationState, StageTerm,
                        mutation_step, run_mutation, stage0_setup, verify_certificate)
-from .paths import (delta_conditions_hold, determinant, enumerate_nonzero_paths,
-                    exists_nonzero_path_through, has_zero_row_or_col,
+from .paths import (determinant, enumerate_nonzero_paths, exists_nonzero_path_through,
                     homogeneous_components, is_inhomogeneous_det, is_singular,
                     is_unit_determinant)
 from .permutations import (Permutation, RankMatrix, all_permutations, avoids_pattern,
@@ -36,13 +35,12 @@ __all__ = [
     "MutationOutcome", "MutationState", "Permutation", "Polynomial", "RankMatrix",
     "StageTerm", "Verdict", "VerdictKind", "ZEntry", "ZMatrix", "all_permutations",
     "avoids_pattern", "build_z", "cell_name", "classify", "defining_minor_count",
-    "delta_conditions_hold", "determinant", "dominates", "enumerate_defining_minors",
-    "enumerate_nonzero_paths", "exists_dividing_term_structural",
-    "exists_nonzero_path_through", "format_grid", "format_matrix", "has_zero_row_or_col",
-    "homogeneous_components", "inverse", "is_inhomogeneous_det", "is_longest_element",
-    "is_singular", "is_unit_determinant", "mutation_step",
+    "determinant", "dominates", "enumerate_defining_minors", "enumerate_nonzero_paths",
+    "exists_dividing_term_structural", "exists_nonzero_path_through", "format_grid",
+    "format_matrix", "homogeneous_components", "inverse", "is_inhomogeneous_det",
+    "is_longest_element", "is_singular", "is_unit_determinant", "mutation_step",
     "necessary_condition_fails", "pruned_defining_minors", "rank_matrix",
     "rank_matrix_via_minima", "relevant_rows_for_column", "required_minor_size",
-    "run_mutation", "si_sequence_raw", "stage0_setup", "sweep",
-    "verify_certificate", "verify_inhomogeneity_witness", "working_generators",
+    "run_mutation", "si_sequence_raw", "stage0_setup", "sweep", "verify_certificate",
+    "verify_inhomogeneity_witness", "working_generators",
 ]

@@ -332,7 +332,10 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
         raise ValueError(f"unknown format: {fmt}")
     done: set[tuple[str, str]] = set()
     out_path = Path(out) if out is not None else None
-    if resume and out_path is not None and out_path.exists():
+    # an empty file has no CSV header yet, so it is written afresh
+    append = resume and out_path is not None and out_path.exists() \
+        and out_path.stat().st_size > 0
+    if append:
         done = {(rec["v"], rec["w"]) for rec in _read_records(out_path, fmt)}
     jobs = [(v, w, cfg) for v, w in _pairs(n)
             if not done or (str(v), str(w)) not in done]
@@ -342,7 +345,7 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
     else:
         records = [_classify_record(job) for job in jobs]
     if out_path is not None:
-        _write_records(out_path, fmt, records, append=resume and out_path.exists())
+        _write_records(out_path, fmt, records, append=append)
     return records
 
 

@@ -93,8 +93,8 @@ def _window_minors(s: int, t: int, height: int, p: int):
 
 def _collect(v: Permutation, w: Permutation, windows: list[tuple[int, int]]) -> GeneratorSet:
     n = w.n
+    # a dict keeps first-insertion order, and reassigning a key keeps its place
     seen: dict[tuple, MinorSpec] = {}
-    order: list[tuple] = []
     for s, t in windows:
         p = required_minor_size(w, s, t)
         if p is None:
@@ -102,12 +102,10 @@ def _collect(v: Permutation, w: Permutation, windows: list[tuple[int, int]]) -> 
         for rows, cols in _window_minors(s, t, n - s + 1, p):
             key = (rows, cols)
             if key in seen:
-                prev = seen[key]
-                seen[key] = MinorSpec(rows, cols, prev.windows + ((s, t),))
+                seen[key] = MinorSpec(rows, cols, seen[key].windows + ((s, t),))
             else:
                 seen[key] = MinorSpec(rows, cols, ((s, t),))
-                order.append(key)
-    return GeneratorSet(v, w, tuple(seen[k] for k in order))
+    return GeneratorSet(v, w, tuple(seen.values()))
 
 
 def enumerate_defining_minors(v: Permutation, w: Permutation) -> GeneratorSet:

@@ -228,8 +228,7 @@ def check_pruning_rule(n: int) -> OracleReport:
 
 def check_path_engine(n: int) -> OracleReport:
     """Determinants, paths, singularity and inhomogeneity vs brute force."""
-    from .paths import (delta_conditions_hold, determinant, enumerate_nonzero_paths,
-                        exists_nonzero_path_through, has_zero_row_or_col,
+    from .paths import (determinant, enumerate_nonzero_paths, exists_nonzero_path_through,
                         is_inhomogeneous_det, is_singular)
 
     if n > 4:
@@ -241,21 +240,11 @@ def check_path_engine(n: int) -> OracleReport:
         rep.checked += 1
         if det_fast != det_ref:
             rep.add("determinant", f"v={v} {m}")
-        if sorted(enumerate_nonzero_paths(m, z)) != brute_paths(m, z):
+        paths = enumerate_nonzero_paths(m, z)
+        if sorted(paths) != brute_paths(m, z):
             rep.add("paths", f"v={v} {m}")
         if is_singular(m, z) != det_ref.is_zero:
             rep.add("singular", f"v={v} {m}")
-        zero_scan = any(all(z.entry(Cell(i, j)).is_zero for j in m.cols) for i in m.rows) or \
-            any(all(z.entry(Cell(i, j)).is_zero for i in m.rows) for j in m.cols)
-        if has_zero_row_or_col(m, z) != zero_scan:
-            rep.add("zero-row-col", f"v={v} {m}")
-        if m.p >= 2 and not zero_scan:
-            feasible = any(
-                delta_conditions_hold(m, z, i)
-                for i in m.rows if not z.entry(Cell(i, m.cols[0])).is_zero)
-            if feasible != bool(enumerate_nonzero_paths(m, z)):
-                rep.add("first-column-scan", f"v={v} {m}")
-        paths = enumerate_nonzero_paths(m, z)
         for i in m.rows:
             for j in m.cols:
                 if z.entry(Cell(i, j)).is_variable:

@@ -82,34 +82,6 @@ def determinant(m: MinorSpec, z: ZMatrix) -> Polynomial:
     return Polynomial(terms)
 
 
-def has_zero_row_or_col(m: MinorSpec, z: ZMatrix) -> bool:
-    """Some row or column of the minor consists entirely of forced zeros.
-
-    A column dies when its 1 sits below every selected row, or when the 1 is
-    outside the selected rows and each selected row below it has its own 1
-    strictly to the left.  Rows are the mirror image.
-    """
-    prow, pcol = z.prow, z.pcol
-    rows, cols = m.rows, m.cols
-    for j in cols:
-        pj = prow[j]
-        if pj < rows[0]:
-            return True
-        if pj in rows:
-            continue
-        if all(pcol[i] < j for i in rows if i < pj):
-            return True
-    for i in rows:
-        pi = pcol[i]
-        if pi < cols[0]:
-            return True
-        if pi in cols:
-            continue
-        if all(prow[j] < i for j in cols if j < pi):
-            return True
-    return False
-
-
 def _complete(prow, pcol, rows: tuple[int, ...], cols: Iterable[int],
               used: set[int], allowed: frozenset | None = None) -> bool:
     """Can the remaining columns pick nonzero entries in distinct unused rows?
@@ -137,30 +109,13 @@ def _complete(prow, pcol, rows: tuple[int, ...], cols: Iterable[int],
     return rec(0)
 
 
-def delta_conditions_hold(m: MinorSpec, z: ZMatrix, alpha1: int) -> bool:
-    """Starting from the given nonzero pick in the first column, every later
-    column still offers a nonzero entry in a fresh row (checked by search, so
-    earlier picks can be revised)."""
-    if has_zero_row_or_col(m, z):
-        raise ValueError("minor has a zero row or column; feasibility scan does not apply")
-    prow, pcol = z.prow, z.pcol
-    if alpha1 not in m.rows or not nonzero(prow, pcol, alpha1, m.cols[0]):
-        raise ValueError(f"row {alpha1} is not a nonzero entry of column {m.cols[0]}")
-    return _complete(prow, pcol, m.rows, m.cols[1:], {alpha1})
-
-
 def is_singular(m: MinorSpec, z: ZMatrix) -> bool:
-    """True iff the minor has no nonzero path (equivalently, determinant 0)."""
-    prow, pcol = z.prow, z.pcol
-    if m.p == 1:
-        return not nonzero(prow, pcol, m.rows[0], m.cols[0])
-    if has_zero_row_or_col(m, z):
-        return True
-    j1 = m.cols[0]
-    return not any(
-        delta_conditions_hold(m, z, i)
-        for i in m.rows if nonzero(prow, pcol, i, j1)
-    )
+    """True iff the minor has no nonzero path (equivalently, determinant 0).
+
+    One ``_complete`` search over all the minor's columns answers it; a zero
+    row or column needs no screen of its own, since the search fails on it.
+    """
+    return not _complete(z.prow, z.pcol, m.rows, m.cols, set())
 
 
 def exists_nonzero_path_through(m: MinorSpec, z: ZMatrix, cell: Cell) -> bool:

@@ -22,8 +22,7 @@ from klhom.minors import (GeneratorSet, enumerate_defining_minors, pruned_defini
                           relevant_rows_for_column, si_sequence_raw)
 from klhom.mutation import run_mutation
 from klhom.oracle import brute_paths, check_divisibility, laplace_determinant
-from klhom.paths import (delta_conditions_hold, determinant, enumerate_nonzero_paths,
-                         exists_nonzero_path_through, has_zero_row_or_col,
+from klhom.paths import (determinant, enumerate_nonzero_paths, exists_nonzero_path_through,
                          homogeneous_components, is_inhomogeneous_det, is_singular)
 from klhom.permutations import (Permutation, all_permutations, avoids_pattern, dominates,
                                 rank_matrix, rank_matrix_via_minima)
@@ -130,16 +129,6 @@ class TestCriterion05:
                 mismatches.append(("enumeration", str(v), m))
             if is_singular(m, z) != (not paths):
                 mismatches.append(("nonzero-path-criterion", str(v), m))
-            scan = any(all(z.entry(Cell(i, j)).is_zero for j in m.cols) for i in m.rows) \
-                or any(all(z.entry(Cell(i, j)).is_zero for i in m.rows) for j in m.cols)
-            if has_zero_row_or_col(m, z) != scan:
-                mismatches.append(("zero-row-col", str(v), m))
-            if m.p >= 2 and not scan:
-                feasible = any(
-                    delta_conditions_hold(m, z, i) for i in m.rows
-                    if not z.entry(Cell(i, m.cols[0])).is_zero)
-                if feasible != bool(paths):
-                    mismatches.append(("first-column-feasibility", str(v), m))
             for i in m.rows:
                 for j in m.cols:
                     if z.entry(Cell(i, j)).is_variable:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib
 import itertools
@@ -277,6 +278,20 @@ class TestSweep:
         assert len(final) == 4
         assert {(r["v"], r["w"]) for r in final} == \
             {(str(v), str(w)) for v in all_permutations(2) for w in all_permutations(2)}
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_resume_into_empty_file(self, tmp_path, fmt):
+        out = tmp_path / f"e.{fmt}"
+        out.touch()
+        assert len(sweep(2, out=out, fmt=fmt, resume=True)) == 4
+        assert sweep(2, out=out, fmt=fmt, resume=True) == []
+        with out.open(newline="") as fh:
+            if fmt == "csv":
+                final = list(csv.DictReader(fh))
+            else:
+                final = [json.loads(line) for line in fh]
+        assert sorted((r["v"], r["w"]) for r in final) == \
+            sorted((str(v), str(w)) for v in all_permutations(2) for w in all_permutations(2))
 
     def test_jsonl_bytes_and_digests(self, tmp_path):
         # the file holds json.dumps(record, sort_keys=True) per line, and each

@@ -7,8 +7,7 @@ import klhom.paths
 from klhom.errors import ConsistencyError
 from klhom.minors import MinorSpec
 from klhom.oracle import brute_paths, laplace_determinant
-from klhom.paths import (delta_conditions_hold, determinant, enumerate_nonzero_paths,
-                         exists_nonzero_path_through, has_zero_row_or_col,
+from klhom.paths import (determinant, enumerate_nonzero_paths, exists_nonzero_path_through,
                          homogeneous_components, is_inhomogeneous_det, is_singular,
                          is_unit_determinant)
 from klhom.permutations import Permutation, all_permutations
@@ -93,7 +92,6 @@ class TestSingularity:
     def test_golden_33_window_nonsingular(self):
         z = build_z(P("23451"))
         assert not is_singular(M33, z)
-        assert not has_zero_row_or_col(M33, z)
 
     def test_p1_by_entry(self):
         z = build_z(P("2314"))
@@ -106,60 +104,33 @@ class TestSingularity:
             assert is_singular(m, z) == determinant(m, z).is_zero
 
 
-class TestZeroRowOrCol:
-    def test_forced_zero_column(self):
-        # column 1 of v=2314 pivots in row 3; rows {4} lie above it
-        z = build_z(P("2314"))
-        assert has_zero_row_or_col(MinorSpec((4,), (1,)), z)
-
-    def test_matches_entry_scan_s4(self):
-        for v, z, m in s4_population():
-            scan = any(all(z.entry(Cell(i, j)).is_zero for j in m.cols) for i in m.rows) \
-                or any(all(z.entry(Cell(i, j)).is_zero for i in m.rows) for j in m.cols)
-            assert has_zero_row_or_col(m, z) == scan
-
-
 class TestFirstColumnScan:
-    def test_golden_all_first_column_picks_work(self):
-        z = build_z(P("23451"))
-        for alpha1 in (1, 2, 3):
-            assert delta_conditions_hold(M33, z, alpha1)
+    """The search tries column 1's rows in turn and revises a pick that
+    starves a later column."""
 
     def test_blocked_second_column(self):
         # column 4 pivots in row 1, so its only nonzero entry is row 1;
-        # picking row 1 from the first column starves it
+        # picking row 1 from the first column starves it, and the search must
+        # back up to row 2
         z = build_z(P("23451"))
         m = MinorSpec((1, 2), (1, 4))
         assert z.entry(Cell(2, 4)).is_zero and z.entry(Cell(1, 4)).is_one
-        assert not delta_conditions_hold(m, z, 1)
-        assert delta_conditions_hold(m, z, 2)
-
-    def test_precondition_errors(self):
-        z = build_z(P("2314"))
-        with pytest.raises(ValueError):
-            delta_conditions_hold(MinorSpec((4,), (1,)), z, 4)   # zero column
-        with pytest.raises(ValueError):
-            delta_conditions_hold(MinorSpec((1, 2), (1, 2)), z, 3)  # not a row
+        assert not z.entry(Cell(1, 1)).is_zero and not z.entry(Cell(2, 1)).is_zero
+        assert not is_singular(m, z)
+        assert enumerate_nonzero_paths(m, z) == [(Cell(2, 1), Cell(1, 4))]
 
     def test_random_s5_match_enumeration(self):
         rng = random.Random(991)
         perms = list(all_permutations(5))
-        checked = 0
-        while checked < 200:
+        for _ in range(200):
             v = rng.choice(perms)
             z = build_z(v)
-            p = rng.randint(2, 4)
+            p = rng.randint(1, 5)
             rows = tuple(sorted(rng.sample(range(1, 6), p)))
             cols = tuple(sorted(rng.sample(range(1, 6), p)))
             m = MinorSpec(rows, cols)
-            if has_zero_row_or_col(m, z):
-                continue
-            checked += 1
-            feasible = any(
-                delta_conditions_hold(m, z, i)
-                for i in rows if not z.entry(Cell(i, cols[0])).is_zero)
             paths = enumerate_nonzero_paths(m, z)
-            assert feasible == bool(paths)
+            assert is_singular(m, z) == (not paths)
             for i in rows:
                 for j in cols:
                     if z.entry(Cell(i, j)).is_variable:
