@@ -33,15 +33,15 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .divisibility import exists_dividing_term_structural
 from .errors import ConsistencyError
-# enumerate_defining_minors is not called here, but the traced benchmark
-# (perfbench/spans.py) wraps it under this module's name, so it stays imported
+# enumerate_defining_minors and is_longest_element are not called here, but the
+# traced benchmark (perfbench/spans.py) wraps them under this module's name, so
+# they stay imported
 from .minors import (GeneratorSet, MinorSpec, defining_minor_count,
                      enumerate_defining_minors, pruned_defining_minors)
 from .mutation import MutationConfig, run_mutation, verify_certificate
-from .paths import (determinant, homogeneous_components, is_inhomogeneous_det,
-                    is_singular, is_unit_determinant)
+from .paths import (determinant, exists_dividing_term_structural, homogeneous_components,
+                    is_inhomogeneous_det, is_singular, is_unit_determinant)
 from .permutations import (Permutation, all_permutations, avoids_pattern, dominates,
                            is_longest_element, rank_matrix)
 from .polynomials import Mono, Polynomial, mono_degree, mono_divides
@@ -273,7 +273,8 @@ def classify(v: Permutation, w: Permutation,
                                     n_singular, n_inhom,
                                     (time.perf_counter() - t0) * 1000.0)
 
-    if is_longest_element(w):
+    # no defining minor at all exactly when w is order-reversing
+    if gens_before == 0:
         return report(Verdict(VerdictKind.EMPTY_IDEAL, reason="w-is-order-reversing"))
     if not dominates(rank_matrix(v), rank_matrix(w)):
         return report(Verdict(VerdictKind.UNIT_IDEAL, reason="rank-domination-fails"))
@@ -332,9 +333,11 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
         raise ValueError(f"unknown format: {fmt}")
     done: set[tuple[str, str]] = set()
     out_path = Path(out) if out is not None else None
-    # an empty file has no CSV header yet, so it is written afresh
+    # an interrupted write can leave a partial last line, which is cut off; a
+    # file with no whole line left (an empty one has no CSV header yet) is
+    # written afresh
     append = resume and out_path is not None and out_path.exists() \
-        and out_path.stat().st_size > 0
+        and _cut_to_last_newline(out_path) > 0
     if append:
         done = {(rec["v"], rec["w"]) for rec in _read_records(out_path, fmt)}
     jobs = [(v, w, cfg) for v, w in _pairs(n)
@@ -347,6 +350,14 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
     if out_path is not None:
         _write_records(out_path, fmt, records, append=append)
     return records
+
+
+def _cut_to_last_newline(path: Path) -> int:
+    """Truncate the file after its last newline; returns the size kept."""
+    with path.open("rb+") as fh:
+        keep = fh.read().rfind(b"\n") + 1
+        fh.truncate(keep)
+    return keep
 
 
 def _read_records(path: Path, fmt: str) -> list[dict]:

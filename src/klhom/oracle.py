@@ -6,7 +6,9 @@ by tests and the ``verify`` command.  The implementations deliberately share
 no logic with what they check: determinants come from cofactor expansion
 rather than path search, path lists from filtering raw row permutations,
 divisibility from scanning expanded terms, and the window pruning from local
-pairwise domination rules rather than the bottom-up column scan.
+pairwise domination rules rather than the bottom-up column scan.  v's pattern
+of 1s, 0s and variables is derived here from v's word itself, never from the
+pivot maps or the zero rule of ``zmatrix``.
 """
 from __future__ import annotations
 
@@ -21,11 +23,26 @@ from .zmatrix import Cell, ZMatrix
 MAX_LAPLACE = 8
 
 
-def _entry_poly(z: ZMatrix, i: int, j: int) -> Polynomial:
-    e = z.entry(Cell(i, j))
-    if e.is_zero:
+def _cell_kind(v: Permutation, i: int, j: int) -> str:
+    """Cell (i, j) of v's matrix as ``"one"``, ``"zero"`` or ``"variable"``,
+    straight from the defining rule: column j's 1 sits in row n - v(j) + 1,
+    and a cell is 0 when it lies above its column's 1 or right of its row's 1.
+    """
+    n = v.n
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"cell out of range: ({i}, {j})")
+    if i == n - v(j) + 1:
+        return "one"
+    if i > n - v(j) + 1 or any(i == n - v(k) + 1 for k in range(1, j)):
+        return "zero"
+    return "variable"
+
+
+def _entry_poly(v: Permutation, i: int, j: int) -> Polynomial:
+    kind = _cell_kind(v, i, j)
+    if kind == "zero":
         return Polynomial.zero()
-    if e.is_one:
+    if kind == "one":
         return Polynomial.constant(1)
     return Polynomial({mono_from_vars([Cell(i, j)]): 1})
 
@@ -38,13 +55,14 @@ def laplace_determinant(m: MinorSpec, z: ZMatrix) -> Polynomial:
     """
     if m.p > MAX_LAPLACE:
         raise ValueError(f"minor of size {m.p} exceeds the oracle guard {MAX_LAPLACE}")
+    v = z.v
 
     def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
         if len(rows) == 1:
-            return _entry_poly(z, rows[0], cols[0])
+            return _entry_poly(v, rows[0], cols[0])
         acc = Polynomial.zero()
         for b, j in enumerate(cols):
-            e = _entry_poly(z, rows[0], j)
+            e = _entry_poly(v, rows[0], j)
             if e.is_zero:
                 continue
             sub = det(rows[1:], cols[:b] + cols[b + 1:])
@@ -59,7 +77,7 @@ def brute_paths(m: MinorSpec, z: ZMatrix) -> list[tuple[Cell, ...]]:
     out = []
     for perm_rows in itertools.permutations(m.rows):
         cells = tuple(Cell(i, j) for i, j in zip(perm_rows, m.cols))
-        if all(not z.entry(c).is_zero for c in cells):
+        if all(_cell_kind(z.v, *c) != "zero" for c in cells):
             out.append(cells)
     return sorted(out)
 
@@ -126,6 +144,7 @@ def reduce_over_generators(m: MinorSpec, kept: GeneratorSet,
     Raises :class:`ReductionError` if the expansion bottoms out first.
     """
     kept_keys = {(g.rows, g.cols) for g in kept.minors}
+    v = z.v
     combo: dict[tuple, Polynomial] = {}
 
     def rec(rows: tuple[int, ...], cols: tuple[int, ...], coeff: Polynomial) -> None:
@@ -137,7 +156,7 @@ def reduce_over_generators(m: MinorSpec, kept: GeneratorSet,
             raise ReductionError(f"reduction of {m} bottomed out")
         top = len(rows) - 1
         for b, j in enumerate(cols):
-            e = _entry_poly(z, rows[top], j)
+            e = _entry_poly(v, rows[top], j)
             if e.is_zero:
                 continue
             sign = (-1) ** (top + b)
@@ -247,7 +266,7 @@ def check_path_engine(n: int) -> OracleReport:
             rep.add("singular", f"v={v} {m}")
         for i in m.rows:
             for j in m.cols:
-                if z.entry(Cell(i, j)).is_variable:
+                if _cell_kind(v, i, j) == "variable":
                     hit = any(Cell(i, j) in p for p in paths)
                     if exists_nonzero_path_through(m, z, Cell(i, j)) != hit:
                         rep.add("path-through", f"v={v} {m} cell=({i},{j})")
@@ -267,8 +286,8 @@ def check_path_engine(n: int) -> OracleReport:
 
 def check_divisibility(n: int) -> OracleReport:
     """Structural cross-minor divisibility vs expansion scan."""
-    from .divisibility import exists_dividing_term_structural
     from .minors import pruned_defining_minors
+    from .paths import exists_dividing_term_structural
     from .permutations import all_permutations
     from .zmatrix import build_z
 

@@ -1,5 +1,6 @@
 """
-Path expansion of minors: determinants, singularity, and inhomogeneity.
+Path expansion of minors: determinants, singularity, inhomogeneity, and term
+divisibility across minors.
 
 A path of a p x p minor picks one entry per column, all rows distinct; a
 nonzero path avoids forced zeros.  The determinant is the signed sum over
@@ -8,13 +9,23 @@ cancellation can occur (checked during assembly).
 
 All structural tests below work from the pivot pattern alone, read from the
 ``ZMatrix`` they are given: ``zmatrix.nonzero`` is the zero rule, and
-``zmatrix.build_z`` places the 1s (rows bottom-indexed).
+``zmatrix.build_z`` places the 1s (rows bottom-indexed).  A path holds only
+nonzero cells, so a path cell is a variable exactly when it is not its
+column's 1.
 
 Each existence question (is the minor singular, does some nonzero path pick a
 given cell, does some nonzero path use only allowed variables) runs the one
 search ``_complete``.  A path through a variable below an in-minor 1 needs no
 special handling: the 1's row is nonzero only up to the 1's column, which the
 variable already takes, so any completion picks from that row further left.
+
+Terms of a determinant are squarefree products of variable cells, so one term
+divides another exactly when its variable set is contained in the other's.
+Whether *some* term of det(A) divides a given term of det(B) is the third
+question: each column of A must pick either a forced 1 of A or a variable cell
+that the dividend term already contains, with all rows distinct.  When A is
+not contained in B, rows and columns of A outside B can only ever contribute
+their forced 1, which gives a cheap necessary filter before the search.
 """
 from __future__ import annotations
 
@@ -62,7 +73,8 @@ def path_sign(m: MinorSpec, path: Path) -> int:
 
 def path_monomial(z: ZMatrix, path: Path) -> Mono:
     """The squarefree product of the path's variable cells (1 picks drop out)."""
-    return mono_from_vars(c for c in path if z.entry(c).is_variable)
+    prow = z.prow
+    return mono_from_vars(c for c in path if prow[c.col] != c.row)
 
 
 def determinant(m: MinorSpec, z: ZMatrix) -> Polynomial:
@@ -158,6 +170,31 @@ def is_inhomogeneous_det(m: MinorSpec, z: ZMatrix) -> bool:
             if nonzero(prow, pcol, i, j) and exists_nonzero_path_through(m, z, Cell(i, j)):
                 return True
     return False
+
+
+def is_subminor(a: MinorSpec, b: MinorSpec) -> bool:
+    return set(a.rows) <= set(b.rows) and set(a.cols) <= set(b.cols)
+
+
+def exists_dividing_term_structural(a: MinorSpec, m_b: Mono, z: ZMatrix,
+                                    b: MinorSpec) -> bool:
+    """True iff some term of det(a) divides the squarefree term m_b of det(b).
+
+    Decided structurally (no expansion of det(a)): the variable cells of m_b
+    are the only variable picks a dividing path may make.  When a is not
+    contained in the source minor b, every row or column of a outside b must
+    carry its forced 1 inside a, which screens most negatives before the path
+    search runs.
+    """
+    prow, pcol = z.prow, z.pcol
+    if not is_subminor(a, b):
+        for i in set(a.rows) - set(b.rows):
+            if pcol[i] not in a.cols:
+                return False
+        for j in set(a.cols) - set(b.cols):
+            if prow[j] not in a.rows:
+                return False
+    return _complete(prow, pcol, a.rows, a.cols, set(), frozenset(c for c, _ in m_b))
 
 
 def homogeneous_components(f: Polynomial) -> list[Polynomial]:

@@ -82,18 +82,6 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(word)
 
 
-def inverse(p: Permutation) -> Permutation:
-    """The inverse permutation: inverse(p)(p(i)) == i.
-
-    >>> str(inverse(Permutation.parse("2314")))
-    '3124'
-    """
-    word = [0] * p.n
-    for i, x in enumerate(p.word, start=1):
-        word[x - 1] = i
-    return Permutation(tuple(word))
-
-
 @dataclass(frozen=True)
 class RankMatrix:
     """The n x n rank grid of a permutation, rows printed top first.

@@ -8,8 +8,10 @@ a 1 in its row is 0, every entry strictly above a 1 in its column is 0, and
 all remaining entries are free variables ``z_{i,j}``.
 
 This module is the one place that decides the pattern: ``build_z`` places the
-1s and ``nonzero`` is the zero rule.  Every structural routine in ``paths``
-and ``divisibility`` reads the pivot maps of the ``ZMatrix`` it is given.
+1s in the pivot maps ``prow``/``pcol`` and ``nonzero`` is the zero rule.  A
+nonzero cell is a variable exactly when it is not its column's 1.  Every
+structural routine in ``paths`` and the printer below read the pattern that
+way; only the brute-force ``oracle`` re-derives it, from v's word alone.
 
 Rows are bottom-indexed everywhere in this package; the pretty-printer is the
 only place that re-orders rows (it prints the top row first, the way the
@@ -35,38 +37,6 @@ def cell_name(cell: Cell) -> str:
     return f"z_{{{cell.row},{cell.col}}}"
 
 
-@dataclass(frozen=True)
-class ZEntry:
-    """One entry of the matrix: a forced 1, a forced 0, or a free variable."""
-
-    kind: str  # "one" | "zero" | "variable"
-    cell: Cell | None = None
-
-    @property
-    def is_one(self) -> bool:
-        return self.kind == "one"
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "zero"
-
-    @property
-    def is_variable(self) -> bool:
-        return self.kind == "variable"
-
-    def __str__(self) -> str:
-        if self.is_one:
-            return "1"
-        if self.is_zero:
-            return "0"
-        assert self.cell is not None
-        return cell_name(self.cell)
-
-
-ONE = ZEntry("one")
-ZERO = ZEntry("zero")
-
-
 def nonzero(prow, pcol, i: int, j: int) -> bool:
     """The zero rule: cell (i, j) is not above the 1 of column j and not right
     of the 1 of row i.  ``prow`` and ``pcol`` are the pivot maps of a ZMatrix."""
@@ -75,7 +45,7 @@ def nonzero(prow, pcol, i: int, j: int) -> bool:
 
 @dataclass(frozen=True)
 class ZMatrix:
-    """The pivot pattern of v plus lazy entry classification.
+    """The pivot pattern of v.
 
     Both pivot maps are 1-based tuples whose index 0 is unused: ``prow[j]`` is
     the bottom-indexed row of column j's 1, and ``pcol[i]`` the column of row
@@ -89,22 +59,6 @@ class ZMatrix:
     @property
     def n(self) -> int:
         return self.v.n
-
-    def entry(self, cell: Cell) -> ZEntry:
-        """Classify a cell as One / Zero / Variable.
-
-        Zero iff the cell sits above the 1 of its column or to the right of
-        the 1 of its row; One iff it is the 1 itself; Variable otherwise.
-        """
-        i, j = cell
-        n = self.n
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"cell out of range: {cell}")
-        if i == self.prow[j]:
-            return ONE
-        if not nonzero(self.prow, self.pcol, i, j):
-            return ZERO
-        return ZEntry("variable", cell)
 
 
 @lru_cache(maxsize=None)
@@ -130,10 +84,18 @@ def build_z(v: Permutation) -> ZMatrix:
 
 def format_grid(z: ZMatrix, rows: tuple[int, ...] | None = None,
                 cols: tuple[int, ...] | None = None) -> list[list[str]]:
-    """Entry tokens for the selected rows/cols, top row first."""
+    """Entry tokens (``"1"``, ``"0"`` or the variable's name) for the selected
+    rows/cols, top row first."""
     rows = rows if rows is not None else tuple(range(1, z.n + 1))
     cols = cols if cols is not None else tuple(range(1, z.n + 1))
-    return [[str(z.entry(Cell(i, j))) for j in cols] for i in sorted(rows, reverse=True)]
+    prow, pcol = z.prow, z.pcol
+
+    def token(i: int, j: int) -> str:
+        if i == prow[j]:
+            return "1"
+        return cell_name(Cell(i, j)) if nonzero(prow, pcol, i, j) else "0"
+
+    return [[token(i, j) for j in cols] for i in sorted(rows, reverse=True)]
 
 
 def format_matrix(z: ZMatrix, rows: tuple[int, ...] | None = None,

@@ -27,7 +27,7 @@ from klhom.paths import (determinant, enumerate_nonzero_paths, exists_nonzero_pa
 from klhom.permutations import (Permutation, all_permutations, avoids_pattern, dominates,
                                 rank_matrix, rank_matrix_via_minima)
 from klhom.polynomials import Polynomial, mono_from_vars
-from klhom.zmatrix import Cell, build_z, format_grid
+from klhom.zmatrix import Cell, build_z, format_grid, nonzero
 
 P = Permutation.parse
 
@@ -131,7 +131,7 @@ class TestCriterion05:
                 mismatches.append(("nonzero-path-criterion", str(v), m))
             for i in m.rows:
                 for j in m.cols:
-                    if z.entry(Cell(i, j)).is_variable:
+                    if nonzero(z.prow, z.pcol, i, j) and z.prow[j] != i:
                         hit = any(Cell(i, j) in p for p in paths)
                         if exists_nonzero_path_through(m, z, Cell(i, j)) != hit:
                             mismatches.append(("path-through", str(v), m, (i, j)))

@@ -293,6 +293,25 @@ class TestSweep:
         assert sorted((r["v"], r["w"]) for r in final) == \
             sorted((str(v), str(w)) for v in all_permutations(2) for w in all_permutations(2))
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("whole_lines", [0, 4])
+    def test_resume_after_truncated_last_line(self, tmp_path, fmt, whole_lines):
+        # an interrupted write leaves a partial last line: 5 bytes into the
+        # line after the first ``whole_lines`` lines
+        out = tmp_path / f"t.{fmt}"
+        fresh = sweep(3, out=out, fmt=fmt)
+        text = out.read_bytes()
+        ends = [i + 1 for i, byte in enumerate(text) if byte == ord("\n")]
+        out.write_bytes(text[:(ends[whole_lines - 1] if whole_lines else 0) + 5])
+        sweep(3, out=out, fmt=fmt, resume=True)
+        with out.open(newline="") as fh:
+            if fmt == "csv":
+                final = list(csv.DictReader(fh))
+            else:
+                final = [json.loads(line) for line in fh]
+        key = lambda recs: sorted((r["v"], r["w"], r["verdict"], r["digest"]) for r in recs)
+        assert key(final) == key(fresh)
+
     def test_jsonl_bytes_and_digests(self, tmp_path):
         # the file holds json.dumps(record, sort_keys=True) per line, and each
         # digest is the sha256 of the sorted JSON of the record's detail

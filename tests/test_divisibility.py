@@ -1,9 +1,9 @@
 import random
 
-from klhom.divisibility import exists_dividing_term_structural, is_subminor
 from klhom.minors import MinorSpec, pruned_defining_minors
 from klhom.oracle import brute_divisor_exists, check_divisibility, laplace_determinant
-from klhom.paths import determinant, enumerate_nonzero_paths
+from klhom.paths import (determinant, enumerate_nonzero_paths, exists_dividing_term_structural,
+                         is_subminor)
 from klhom.permutations import Permutation, all_permutations
 from klhom.polynomials import mono_divides, mono_from_vars
 from klhom.zmatrix import Cell, build_z

@@ -1,8 +1,12 @@
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import klhom
+from klhom.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_export_resolves():
@@ -20,22 +24,50 @@ def test_star_import():
     assert set(klhom.__all__) <= namespace.keys()
 
 
+def _traced_hooks() -> list:
+    """The (module, function, span name, tally) hooks of perfbench/spans.py."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.WRAPPED
+
+
 def test_traced_benchmark_hooks_resolve():
     # perfbench/spans.py wraps klhom functions by (module, name); a rename
     # here would otherwise surface only as a crash of the traced benchmark
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    assert spans.WRAPPED
-    for module_name, fn_name, _, _ in spans.WRAPPED:
+    hooks = _traced_hooks()
+    assert hooks
+    for module_name, fn_name, _, _ in hooks:
         module = importlib.import_module(f"klhom.{module_name}")
         assert callable(getattr(module, fn_name, None)), f"klhom.{module_name}.{fn_name}"
 
 
+def test_traced_benchmark_layers_get_calls(monkeypatch, tmp_path):
+    # a call moved out of a wrapped namespace would bill its layer's time to
+    # the traced run's root spans; an S_4 census reaches every layer except
+    # minors.enumerate, which the closed-form count replaced
+    calls: Counter = Counter()
+
+    def counted(fn, span):
+        def wrapper(*args, **kwargs):
+            calls[span] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    hooks = _traced_hooks()
+    for module_name, fn_name, span, _ in hooks:
+        module = importlib.import_module(f"klhom.{module_name}")
+        monkeypatch.setattr(module, fn_name, counted(getattr(module, fn_name), span))
+    out = tmp_path / "s4.jsonl"
+    assert main(["sweep", "--n", "4", "--workers", "1", "--out", str(out)]) == 0
+    idle = {span for _, _, span, _ in hooks if not calls[span]}
+    assert idle == {"minors.enumerate"}
+
+
 def _package_imports_of(top: str) -> tuple[list, list]:
     """The modules of src/klhom, and the file:line of each import of ``top``."""
-    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "klhom").glob("*.py"))
+    sources = sorted((ROOT / "src" / "klhom").glob("*.py"))
     offenders = []
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -61,3 +93,18 @@ def test_fractions_stay_out_of_the_package():
     # rewriting search divides by multiplying
     sources, offenders = _package_imports_of("fractions")
     assert sources and not offenders, offenders
+
+
+def test_oracle_derives_the_pattern_itself():
+    # the oracles check the pivot maps and the zero rule of zmatrix, so they
+    # must not read them: v's pattern comes from v's word
+    path = ROOT / "src" / "klhom" / "oracle.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    assert not names & {"prow", "pcol", "nonzero"}

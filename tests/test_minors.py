@@ -7,7 +7,7 @@ from klhom.minors import (MinorSpec, defining_minor_count, enumerate_defining_mi
                           pruned_defining_minors, relevant_rows_for_column,
                           required_minor_size, si_sequence_raw)
 from klhom.oracle import brute_si, laplace_determinant, reduce_over_generators
-from klhom.permutations import Permutation, all_permutations, rank_matrix
+from klhom.permutations import Permutation, all_permutations, is_longest_element, rank_matrix
 from klhom.polynomials import Polynomial
 from klhom.zmatrix import build_z
 
@@ -106,6 +106,8 @@ class TestDefiningMinorCount:
         v = Permutation.identity(n)
         for w in all_permutations(n):
             assert defining_minor_count(w) == len(enumerate_defining_minors(v, w)), f"w={w}"
+            # the classifier's empty-ideal gate reads the count
+            assert (defining_minor_count(w) == 0) == is_longest_element(w), f"w={w}"
 
 
 class TestColumnPruning:

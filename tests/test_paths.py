@@ -12,7 +12,7 @@ from klhom.paths import (determinant, enumerate_nonzero_paths, exists_nonzero_pa
                          is_unit_determinant)
 from klhom.permutations import Permutation, all_permutations
 from klhom.polynomials import Polynomial, mono_from_vars
-from klhom.zmatrix import Cell, build_z
+from klhom.zmatrix import Cell, build_z, nonzero
 
 P = Permutation.parse
 
@@ -114,8 +114,8 @@ class TestFirstColumnScan:
         # back up to row 2
         z = build_z(P("23451"))
         m = MinorSpec((1, 2), (1, 4))
-        assert z.entry(Cell(2, 4)).is_zero and z.entry(Cell(1, 4)).is_one
-        assert not z.entry(Cell(1, 1)).is_zero and not z.entry(Cell(2, 1)).is_zero
+        assert not nonzero(z.prow, z.pcol, 2, 4) and z.prow[4] == 1
+        assert nonzero(z.prow, z.pcol, 1, 1) and nonzero(z.prow, z.pcol, 2, 1)
         assert not is_singular(m, z)
         assert enumerate_nonzero_paths(m, z) == [(Cell(2, 1), Cell(1, 4))]
 
@@ -133,7 +133,7 @@ class TestFirstColumnScan:
             assert is_singular(m, z) == (not paths)
             for i in rows:
                 for j in cols:
-                    if z.entry(Cell(i, j)).is_variable:
+                    if nonzero(z.prow, z.pcol, i, j) and z.prow[j] != i:
                         hit = any(Cell(i, j) in p for p in paths)
                         assert exists_nonzero_path_through(m, z, Cell(i, j)) == hit
 
@@ -156,7 +156,7 @@ class TestPathThrough:
             paths = enumerate_nonzero_paths(m, z)
             for i in m.rows:
                 for j in m.cols:
-                    if z.entry(Cell(i, j)).is_variable:
+                    if nonzero(z.prow, z.pcol, i, j) and z.prow[j] != i:
                         hit = any(Cell(i, j) in p for p in paths)
                         assert exists_nonzero_path_through(m, z, Cell(i, j)) == hit
 

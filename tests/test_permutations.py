@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from klhom.permutations import (Permutation, all_permutations, avoids_pattern,
-                                dominates, inverse, is_longest_element, rank_matrix,
+                                dominates, is_longest_element, rank_matrix,
                                 rank_matrix_via_minima)
 
 P = Permutation.parse
@@ -41,23 +41,6 @@ class TestPermutation:
         eleven = Permutation((11, 3, 1, 2, 4, 5, 6, 7, 8, 9, 10))
         assert str(eleven) == "11,3,1,2,4,5,6,7,8,9,10"
         assert Permutation.parse(str(eleven)) == eleven
-
-    def test_inverse_golden(self):
-        assert inverse(P("2314")) == P("3124")
-
-    def test_inverse_identity(self):
-        for n in (1, 2, 5):
-            assert inverse(Permutation.identity(n)) == Permutation.identity(n)
-
-    def test_inverse_round_trip_42531(self):
-        p = P("42531")
-        q = inverse(p)
-        assert all(q(p(i)) == i for i in range(1, 6))
-
-    @given(perms5)
-    def test_inverse_round_trip(self, p):
-        q = inverse(p)
-        assert all(q(p(i)) == i and p(q(i)) == i for i in range(1, p.n + 1))
 
 
 class TestRankMatrix:
