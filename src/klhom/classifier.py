@@ -21,6 +21,7 @@ either way and is never upgraded.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -31,7 +32,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from .errors import ConsistencyError
 # enumerate_defining_minors and is_longest_element are not called here, but the
@@ -91,21 +91,31 @@ class ComponentCertificate:
         }
 
 
-# one encoder serves the digests and the JSONL writer; it gives the bytes of
+# one encoder serves the digests and the JSONL detail; it gives the bytes of
 # json.dumps(obj, sort_keys=True) without building an encoder per call
 _encode = json.JSONEncoder(sort_keys=True).encode
+# a JSON string literal, as json.dumps writes it
+_json_str = json.encoder.encode_basestring_ascii
+# a JSONL line: a record's fields in sorted key order, as json.dumps(record,
+# sort_keys=True) writes them.  Filled in directly: JSONEncoder.encode sets up
+# an encoder on every call, which cost more than the rest of a plain record's
+# line.  tests/test_classifier.py compares the two byte for byte.
+_LINE = ('{{"detail": {}, "digest": {}, "gens_after": {}, "gens_before": {}, '
+         '"n_inhomogeneous": {}, "n_singular": {}, "reason": {}, "v": {}, "verdict": {}, '
+         '"w": {}, "wall_ms": {!r}}}')
 
 
-def _digest(record: dict) -> str:
-    """The 12-hex-digit digest of a verdict record."""
-    return hashlib.sha256(_encode(record).encode()).hexdigest()[:12]
+def _hash(text: str) -> str:
+    """The 12-hex-digit digest of an encoded verdict record."""
+    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 @lru_cache(maxsize=None)
-def _plain_digest(kind: VerdictKind, reason: str) -> str:
-    """The digest of a verdict with neither witness nor certificates, whose
-    record holds its kind and reason alone."""
-    return _digest(Verdict(kind, reason).to_record())
+def _plain_encoding(kind: VerdictKind, reason: str) -> tuple[str, str]:
+    """The encoded record and digest of a verdict with neither witness nor
+    certificates, whose record holds its kind and reason alone."""
+    text = _encode(Verdict(kind, reason).to_record())
+    return text, _hash(text)
 
 
 @dataclass(frozen=True)
@@ -123,11 +133,18 @@ class Verdict:
             rec["certificates"] = [c.to_record() for c in self.certificates]
         return rec
 
-    def digest(self, record: dict | None = None) -> str:
-        """The digest of :meth:`to_record`; pass that record if it is built."""
+    def encoded(self) -> tuple[dict, str, str]:
+        """:meth:`to_record`, its sorted JSON text and its digest, the record
+        encoded once."""
+        record = self.to_record()
         if self.witness is None and self.certificates is None:
-            return _plain_digest(self.kind, self.reason)
-        return _digest(self.to_record() if record is None else record)
+            return (record, *_plain_encoding(self.kind, self.reason))
+        text = _encode(record)
+        return record, text, _hash(text)
+
+    def digest(self) -> str:
+        """The digest of :meth:`to_record`."""
+        return self.encoded()[2]
 
 
 @dataclass(frozen=True)
@@ -148,12 +165,18 @@ class ClassificationReport:
     wall_ms: float
 
     def to_record(self) -> dict:
-        detail = self.verdict.to_record()
-        return {
+        return self.record_line()[0]
+
+    def record_line(self) -> tuple[dict, str]:
+        """:meth:`to_record` and its JSONL line, the text of
+        ``json.dumps(record, sort_keys=True)``.  The line holds the detail's
+        one encoding, which the digest hashes too."""
+        detail, detail_text, digest = self.verdict.encoded()
+        record = {
             "v": str(self.v), "w": str(self.w),
             "verdict": self.verdict.kind.value,
             "reason": self.verdict.reason,
-            "digest": self.verdict.digest(detail),
+            "digest": digest,
             "gens_before": self.gens_before,
             "gens_after": self.gens_after,
             "n_singular": self.n_singular,
@@ -161,6 +184,12 @@ class ClassificationReport:
             "wall_ms": round(self.wall_ms, 3),
             "detail": detail,
         }
+        line = _LINE.format(detail_text, _json_str(digest), self.gens_after, self.gens_before,
+                            self.n_inhomogeneous, self.n_singular,
+                            _json_str(self.verdict.reason), _json_str(record["v"]),
+                            _json_str(record["verdict"]), _json_str(record["w"]),
+                            record["wall_ms"])
+        return record, line
 
 
 def working_generators(v: Permutation, w: Permutation) -> tuple[ZMatrix, GeneratorSet, list[MinorSpec]]:
@@ -305,25 +334,33 @@ CSV_HEADER = ["v", "w", "verdict", "digest", "gens_before", "gens_after", "wall_
 MAX_SWEEP_N = 6
 
 
-def _pairs(n: int) -> Iterator[tuple[Permutation, Permutation]]:
-    perms = list(all_permutations(n))
-    for v in perms:
-        for w in perms:
-            yield v, w
-
-
-def _classify_record(args: tuple[Permutation, Permutation, ClassifierConfig]) -> dict:
-    v, w, cfg = args
-    return classify(v, w, cfg).to_record()
+def _classify_row(task: tuple[Permutation, list[Permutation], ClassifierConfig, str]
+                  ) -> tuple[list[dict], str]:
+    """Classify v against each w of a row: the records, in order, and their
+    output lines in ``fmt``."""
+    v, ws, cfg, fmt = task
+    records = []
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for w in ws:
+        record, line = classify(v, w, cfg).record_line()
+        records.append(record)
+        if fmt == "jsonl":
+            buf.write(line + "\n")
+        else:
+            writer.writerow([record[k] for k in CSV_HEADER])
+    return records, buf.getvalue()
 
 
 def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | None = None,
           fmt: str = "csv", workers: int = 1, resume: bool = False) -> list[dict]:
     """Classify every pair in S_n x S_n, in lexicographic word order.
 
-    Writes CSV (fixed header) or JSONL when ``out`` is given.  With
-    ``resume`` the pairs already present in the output file are skipped, and
-    only the newly classified records are appended and returned, in order.
+    Writes CSV (fixed header) or JSONL when ``out`` is given, one row of v
+    at a time as each row finishes, so an interrupted sweep leaves whole
+    lines for the rows before it.  With ``resume`` the pairs already present
+    in the output file are skipped, and only the newly classified records are
+    appended and returned, in order.
     """
     if n > MAX_SWEEP_N:
         raise ResourceWarning(f"sweep over S_{n} exceeds the limit {MAX_SWEEP_N}")
@@ -331,55 +368,72 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
         raise ValueError(f"workers must be >= 1, got {workers}")
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format: {fmt}")
-    done: set[tuple[str, str]] = set()
     out_path = Path(out) if out is not None else None
     # an interrupted write can leave a partial last line, which is cut off; a
     # file with no whole line left (an empty one has no CSV header yet) is
     # written afresh
     append = resume and out_path is not None and out_path.exists() \
         and _cut_to_last_newline(out_path) > 0
-    if append:
-        done = {(rec["v"], rec["w"]) for rec in _read_records(out_path, fmt)}
-    jobs = [(v, w, cfg) for v, w in _pairs(n)
-            if not done or (str(v), str(w)) not in done]
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            records = list(pool.imap(_classify_record, jobs, chunksize=8))
-    else:
-        records = [_classify_record(job) for job in jobs]
-    if out_path is not None:
-        _write_records(out_path, fmt, records, append=append)
+    done = _finished_pairs(out_path, fmt) if append else set()
+    perms = list(all_permutations(n))
+    tasks = []
+    for v in perms:
+        ws = [w for w in perms if not done or (str(v), str(w)) not in done]
+        if ws:
+            tasks.append((v, ws, cfg, fmt))
+    records: list[dict] = []
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # imap, not imap_unordered: the rows are written in word order
+            rows = stack.enter_context(multiprocessing.Pool(workers)).imap(_classify_row, tasks)
+        else:
+            rows = map(_classify_row, tasks)
+        # opened after the fork, so that no worker inherits the file's buffer
+        fh = None
+        if out_path is not None:
+            fh = stack.enter_context(out_path.open("a" if append else "w"))
+            if fmt == "csv" and not append:
+                csv.writer(fh).writerow(CSV_HEADER)
+        for row, text in rows:
+            records += row
+            if fh is not None:
+                fh.write(text)
+                fh.flush()
     return records
+
+
+# the block size in which the end of an output file is searched for its last newline
+_TAIL_BLOCK = 1 << 16
 
 
 def _cut_to_last_newline(path: Path) -> int:
     """Truncate the file after its last newline; returns the size kept."""
     with path.open("rb+") as fh:
-        keep = fh.read().rfind(b"\n") + 1
+        end = fh.seek(0, io.SEEK_END)
+        keep = 0
+        while end > 0:
+            start = max(end - _TAIL_BLOCK, 0)
+            fh.seek(start)
+            found = fh.read(end - start).rfind(b"\n")
+            if found >= 0:
+                keep = start + found + 1
+                break
+            end = start
         fh.truncate(keep)
     return keep
 
 
-def _read_records(path: Path, fmt: str) -> list[dict]:
-    if fmt == "jsonl":
-        with path.open() as fh:
-            return [json.loads(line) for line in fh if line.strip()]
-    with path.open(newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def _write_records(path: Path, fmt: str, records: Iterable[dict], append: bool) -> None:
-    records = list(records)
-    mode = "a" if append else "w"
-    if fmt == "jsonl":
-        with path.open(mode) as fh:
-            fh.writelines(_encode(rec) + "\n" for rec in records)
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    if not append:
-        writer.writerow(CSV_HEADER)
-    for rec in records:
-        writer.writerow([rec[k] for k in CSV_HEADER])
-    with path.open(mode) as fh:
-        fh.write(buf.getvalue())
+def _finished_pairs(path: Path, fmt: str) -> set[tuple[str, str]]:
+    """The (v, w) words of the records in an output file.  A JSONL line is
+    sorted by key, so its top-level ``"v"`` is the last one in the line and
+    only the fields from there on are decoded, never the detail before them."""
+    if fmt == "csv":
+        with path.open(newline="") as fh:
+            return {(rec["v"], rec["w"]) for rec in csv.DictReader(fh)}
+    done = set()
+    with path.open() as fh:
+        for line in fh:
+            if line.strip():
+                tail = json.loads("{" + line[line.rfind('"v": '):])
+                done.add((tail["v"], tail["w"]))
+    return done

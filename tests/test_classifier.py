@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import klhom
 from klhom.classifier import (CSV_HEADER, ClassifierConfig, ConsistencyError, VerdictKind,
-                              _digest, classify, necessary_condition_fails, sweep,
+                              classify, necessary_condition_fails, sweep,
                               verify_inhomogeneity_witness, working_generators)
 from klhom.minors import GeneratorSet, enumerate_defining_minors
 from klhom.oracle import laplace_determinant
@@ -248,6 +249,22 @@ class TestScale:
                 assert all(laplace_determinant(m, z).is_homogeneous for m in keep)
 
 
+def read_output(path, fmt):
+    """The records of a sweep's output file."""
+    with path.open(newline="") as fh:
+        if fmt == "csv":
+            return list(csv.DictReader(fh))
+        return [json.loads(line) for line in fh]
+
+
+def blank_wall_ms(text, fmt):
+    """A sweep's output bytes with every wall_ms blanked."""
+    if fmt == "jsonl":
+        return re.sub(rb'"wall_ms": [^,}]*', b'"wall_ms": null', text)
+    # wall_ms is the last CSV column
+    return re.sub(rb",[^,\r\n]*\r\n", b",\r\n", text)
+
+
 class TestSweep:
     def test_n2_has_four_rows(self, tmp_path):
         records = sweep(2, out=tmp_path / "r.csv")
@@ -312,6 +329,14 @@ class TestSweep:
         key = lambda recs: sorted((r["v"], r["w"], r["verdict"], r["digest"]) for r in recs)
         assert key(final) == key(fresh)
 
+    @pytest.mark.parametrize("head", [b"", b"a,b\r\n"], ids=["no-newline", "one-line"])
+    def test_cut_searches_back_past_one_block(self, tmp_path, head):
+        # the last newline lies more than one search block before the end
+        path = tmp_path / "long"
+        path.write_bytes(head + b"x" * (2 * klhom.classifier._TAIL_BLOCK + 3))
+        assert klhom.classifier._cut_to_last_newline(path) == len(head)
+        assert path.read_bytes() == head
+
     def test_jsonl_bytes_and_digests(self, tmp_path):
         # the file holds json.dumps(record, sort_keys=True) per line, and each
         # digest is the sha256 of the sorted JSON of the record's detail
@@ -329,14 +354,52 @@ class TestSweep:
                  if r.verdict.witness is None and r.verdict.certificates is None]
         assert plain
         for verdict in plain:
-            assert verdict.digest() == _digest(verdict.to_record())
+            blob = json.dumps(verdict.to_record(), sort_keys=True).encode()
+            assert verdict.digest() == hashlib.sha256(blob).hexdigest()[:12]
 
-    def test_parallel_matches_serial(self):
-        serial = sweep(2)
-        parallel = sweep(2, workers=2)
-        strip = lambda recs: [{k: v for k, v in r.items() if k != "wall_ms"}
-                              for r in recs]
-        assert strip(serial) == strip(parallel)
+    def test_parallel_matches_serial(self, tmp_path, golden_rows):
+        # a serial and a parallel S4 sweep write the same bytes but for
+        # wall_ms, and the pairs, in order, carry the golden table's verdicts
+        fields = ("v", "w", "verdict", "reason", "digest")
+        golden = [tuple(r[k] for k in fields) for r in golden_rows("golden-classify-s4.csv")]
+        assert len(golden) == 576
+        for fmt in ("csv", "jsonl"):
+            serial, parallel = tmp_path / f"serial.{fmt}", tmp_path / f"parallel.{fmt}"
+            sweep(4, NO_SHORTCUT, out=serial, fmt=fmt, workers=1)
+            sweep(4, NO_SHORTCUT, out=parallel, fmt=fmt, workers=2)
+            assert blank_wall_ms(serial.read_bytes(), fmt) == \
+                blank_wall_ms(parallel.read_bytes(), fmt)
+        rows = read_output(tmp_path / "parallel.jsonl", "jsonl")
+        assert [tuple(r[k] for k in fields) for r in rows] == golden
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_interrupted_sweep_keeps_finished_rows(self, tmp_path, monkeypatch, fmt):
+        # a pair in the middle of the third row of v raises: the file holds
+        # whole lines for the two rows before it, and a resume completes it
+        perms = list(all_permutations(3))
+        stop = (perms[2], perms[3])
+        real_classify = klhom.classifier.classify
+
+        def classify_until_stop(v, w, cfg):
+            if (v, w) == stop:
+                raise ValueError("interrupted")
+            return real_classify(v, w, cfg)
+
+        out = tmp_path / f"i.{fmt}"
+        monkeypatch.setattr(klhom.classifier, "classify", classify_until_stop)
+        with pytest.raises(ValueError, match="interrupted"):
+            sweep(3, NO_SHORTCUT, out=out, fmt=fmt, workers=1)
+        monkeypatch.undo()
+        text = out.read_bytes()
+        assert text.endswith(b"\n")
+        assert text.count(b"\n") == 2 * len(perms) + (fmt == "csv")
+        assert [(r["v"], r["w"]) for r in read_output(out, fmt)] == \
+            [(str(v), str(w)) for v in perms[:2] for w in perms]
+        resumed = sweep(3, NO_SHORTCUT, out=out, fmt=fmt, workers=1, resume=True)
+        assert len(resumed) == 4 * len(perms)
+        fresh = sweep(3, NO_SHORTCUT, out=tmp_path / f"f.{fmt}", fmt=fmt)
+        key = lambda recs: [(r["v"], r["w"], r["verdict"], r["digest"]) for r in recs]
+        assert key(read_output(out, fmt)) == key(fresh)
 
     def test_resource_limit(self):
         with pytest.raises(ResourceWarning):
