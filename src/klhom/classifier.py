@@ -87,7 +87,8 @@ class ComponentCertificate:
         return {
             "generator": self.generator.to_record(),
             "degree": self.degree,
-            "multipliers": [str(p) for p in self.multipliers],
+            # most multipliers are zero; "0" is what str writes for them
+            "multipliers": ["0" if p.is_zero else str(p) for p in self.multipliers],
         }
 
 
@@ -136,9 +137,10 @@ class Verdict:
     def encoded(self) -> tuple[dict, str, str]:
         """:meth:`to_record`, its sorted JSON text and its digest, the record
         encoded once."""
-        record = self.to_record()
         if self.witness is None and self.certificates is None:
-            return (record, *_plain_encoding(self.kind, self.reason))
+            return ({"kind": self.kind.value, "reason": self.reason},
+                    *_plain_encoding(self.kind, self.reason))
+        record = self.to_record()
         text = _encode(record)
         return record, text, _hash(text)
 
@@ -374,7 +376,7 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
     # written afresh
     append = resume and out_path is not None and out_path.exists() \
         and _cut_to_last_newline(out_path) > 0
-    done = _finished_pairs(out_path, fmt) if append else set()
+    done = finished_pairs(out_path, fmt) if append else set()
     perms = list(all_permutations(n))
     tasks = []
     for v in perms:
@@ -423,7 +425,7 @@ def _cut_to_last_newline(path: Path) -> int:
     return keep
 
 
-def _finished_pairs(path: Path, fmt: str) -> set[tuple[str, str]]:
+def finished_pairs(path: Path, fmt: str) -> set[tuple[str, str]]:
     """The (v, w) words of the records in an output file.  A JSONL line is
     sorted by key, so its top-level ``"v"`` is the last one in the line and
     only the fields from there on are decoded, never the detail before them."""

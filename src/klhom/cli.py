@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
-from .classifier import ClassifierConfig, classify, sweep
+from .classifier import ClassifierConfig, classify, finished_pairs, sweep
 from .minors import pruned_defining_minors, relevant_rows_for_column, si_sequence_raw
 from .mutation import MutationConfig
 from .oracle import run_verification
@@ -76,7 +77,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for rec in records:
         counts[rec["verdict"]] = counts.get(rec["verdict"], 0) + 1
     total = sum(counts.values())
-    print(f"{total} pairs classified" + (f" -> {args.out}" if args.out else ""))
+    held = ""
+    if args.resume and args.out:
+        # sweep returns only the new records; the file holds the earlier ones too
+        held = f", {len(finished_pairs(Path(args.out), fmt)) - total} already in the file"
+    print(f"{total} pairs classified{held}" + (f" -> {args.out}" if args.out else ""))
     for verdict in sorted(counts):
         print(f"  {verdict}: {counts[verdict]}")
     return EXIT_OK

@@ -14,6 +14,10 @@ Divisor choices are genuine choice points: a greedy pick can fail where
 another succeeds, so the driver backtracks over them within a node budget.
 A node's frontier (the terms that survive cancellation, with the admissible
 divisors of each) is computed once per node and shared by all its children.
+Below the nodes, each monomial's divisor scan and each division's quotient
+and cross terms run once per generator tuple: one table, kept for the latest
+tuple, serves every node and every run over it, so the components of one
+pair share it.
 Termination is certified by the multipliers and re-checked exactly;
 everything else is reported as undetermined, never as a homogeneity claim.
 Each step keeps sum multipliers * gens = target + sum outstanding by
@@ -30,11 +34,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import ConsistencyError
-from .polynomials import (Coeff, Mono, Polynomial, mono_div, mono_divides, mono_mul,
-                          mono_sort_key)
+from .polynomials import Coeff, Mono, Polynomial, mono_div, mono_mul, mono_sort_key
 
 TERMINATED = "terminated"
 ABRUPT_STOP = "abrupt_stop"
@@ -109,28 +112,58 @@ class MutationState:
         return tuple(Polynomial(dict(m)) for m in self.multipliers)
 
 
+class _GenTable:
+    """What the search reads of one generator tuple, filled in on first use:
+    the generator terms dividing each monomial, and each quotient
+    ``mono / gm`` with the cross terms of the other terms of generator
+    ``gi``.  Every node and every run over the same tuple shares it."""
+
+    def __init__(self, gens: tuple[Polynomial, ...]):
+        self.gens = gens
+        self._gen_terms = [(gi, gm, gc) for gi, g in enumerate(gens) for gm, gc in g.terms()]
+        for gi, _, gc in self._gen_terms:
+            if gc != 1 and gc != -1:  # see the module docstring
+                raise ValueError(f"generator coefficient {gc} is not ±1 in {gens[gi]}")
+        self._divisors: dict[Mono, tuple[tuple[int, Mono, Coeff], ...]] = {}
+        self._cross: dict[tuple[Mono, int, Mono], tuple[Mono, tuple]] = {}
+
+    def divisors(self, mono: Mono) -> tuple[tuple[int, Mono, Coeff], ...]:
+        """Every generator term dividing the monomial, in canonical order."""
+        divs = self._divisors.get(mono)
+        if divs is None:
+            exps = dict(mono)
+            divs = self._divisors[mono] = tuple(
+                t for t in self._gen_terms
+                if all(exps.get(v, 0) >= e for v, e in t[1]))
+        return divs
+
+    def cross_terms(self, mono: Mono, gi: int, gm: Mono) -> tuple[Mono, tuple]:
+        """``mono / gm`` and, for each other term ``oc * om`` of generator
+        ``gi``, the cross term ``(oc, (mono / gm) * om, (gi, om))``."""
+        key = (mono, gi, gm)
+        hit = self._cross.get(key)
+        if hit is None:
+            mu = mono_div(mono, gm)
+            hit = self._cross[key] = (mu, tuple(
+                (oc, mono_mul(mu, om), (gi, om)) for om, oc in self.gens[gi].terms()
+                if om != gm))
+        return hit
+
+
+@lru_cache(maxsize=1)
+def _gen_table(gens: tuple[Polynomial, ...]) -> _GenTable:
+    """The table of the current generator tuple; it is a pure function of the
+    tuple, so a run over another tuple simply replaces it."""
+    return _GenTable(gens)
+
+
 def _divisors_for(mono: Mono, gens: tuple[Polynomial, ...],
                   exclude_gen: int | None = None,
                   exclude_term: tuple[int, Mono] | None = None) -> list[tuple[int, Mono, Coeff]]:
     """Generator terms dividing the monomial, in canonical order."""
-    out = []
-    for gi, g in enumerate(gens):
-        if gi == exclude_gen:
-            continue
-        for gm, gc in g.terms():
-            if exclude_term is not None and exclude_term == (gi, gm):
-                continue
-            if mono_divides(gm, mono):
-                out.append((gi, gm, gc))
-    return out
-
-
-def _require_unit_coeffs(gens: tuple[Polynomial, ...]) -> None:
-    """Raise unless every generator coefficient is ±1 (see the module docstring)."""
-    for g in gens:
-        for _, c in g.terms():
-            if c != 1 and c != -1:
-                raise ValueError(f"generator coefficient {c} is not ±1 in {g}")
+    xi, xm = exclude_term if exclude_term is not None else (None, None)
+    return [d for d in _gen_table(gens).divisors(mono)
+            if d[0] != exclude_gen and not (d[0] == xi and d[1] == xm)]
 
 
 def _add_multiplier(multipliers, gi: int, mono: Mono, coeff: Coeff):
@@ -148,7 +181,7 @@ def _add_multiplier(multipliers, gi: int, mono: Mono, coeff: Coeff):
     return tuple(new)
 
 
-def _spawn(multipliers, gens, o_coeff: Coeff, o_mono: Mono,
+def _spawn(multipliers, table: _GenTable, o_coeff: Coeff, o_mono: Mono,
            gi: int, gm: Mono, gc: Coeff, negate: bool):
     """Divide an entry by the chosen generator term and emit the cross terms.
 
@@ -156,23 +189,14 @@ def _spawn(multipliers, gens, o_coeff: Coeff, o_mono: Mono,
     stages it must cancel the outstanding generated term, so it enters
     negated.
     """
-    mu_mono = mono_div(o_mono, gm)
+    mu_mono, cross = table.cross_terms(o_mono, gi, gm)
     mu_coeff = o_coeff * gc  # == o_coeff / gc, since gc is ±1
     if negate:
         mu_coeff = -mu_coeff
     multipliers = _add_multiplier(multipliers, gi, mu_mono, mu_coeff)
     if multipliers is None:
         return None
-    new_terms = []
-    for om, oc in gens[gi].terms():
-        if om == gm:
-            continue
-        new_terms.append(StageTerm(
-            coeff=mu_coeff * oc,
-            mono=mono_mul(mu_mono, om),
-            tail=(gi, om),
-        ))
-    return multipliers, new_terms
+    return multipliers, [StageTerm(mu_coeff * oc, mono, tail) for oc, mono, tail in cross]
 
 
 def cancel_outstanding(outstanding: tuple[StageTerm, ...]) -> tuple[StageTerm, ...]:
@@ -217,11 +241,12 @@ def _expand(state: MutationState, entries, choices: tuple[int, ...] | None,
     """Divide each ``(coeff, mono, divisors)`` entry by its chosen divisor
     (the first by default) and collect the cross terms as the next state."""
     picked = choices if choices is not None else itertools.repeat(0)
+    table = _gen_table(state.gens)
     multipliers = state.multipliers
     outstanding: list[StageTerm] = []
     for (coeff, mono, divs), idx in zip(entries, picked):
         gi, gm, gc = divs[idx]
-        spawned = _spawn(multipliers, state.gens, coeff, mono, gi, gm, gc, negate=negate)
+        spawned = _spawn(multipliers, table, coeff, mono, gi, gm, gc, negate=negate)
         if spawned is None:
             return MutationOutcome(ABRUPT_STOP, state.stage,
                                    reason="multiplier term cancelled")
@@ -240,7 +265,7 @@ def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     canonical order); the default takes the first of each.
     """
     gens = tuple(gens)
-    _require_unit_coeffs(gens)
+    _gen_table(gens)  # raises ValueError unless every coefficient is ±1
     state = MutationState(
         target=target, gens=gens,
         multipliers=tuple(() for _ in gens),
@@ -293,7 +318,7 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     sum g_j * f_j == target exactly.
     """
     gens = tuple(gens)
-    _require_unit_coeffs(gens)
+    _gen_table(gens)  # raises ValueError unless every coefficient is ±1
     if target.is_zero:
         return MutationOutcome(TERMINATED, 0,
                                certificate=tuple(Polynomial.zero() for _ in gens))

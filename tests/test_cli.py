@@ -58,6 +58,15 @@ class TestSweep:
         assert lines[0] == "v,w,verdict,digest,gens_before,gens_after,wall_ms"
         assert len(lines) == 5
 
+    def test_resume_counts_the_pairs_already_held(self, capsys, tmp_path):
+        out_file = str(tmp_path / "r3.csv")
+        code, out, _ = run(capsys, "sweep", "--n", "3", "--out", out_file)
+        assert code == 0
+        assert out.startswith(f"36 pairs classified -> {out_file}\n")
+        code, out, _ = run(capsys, "sweep", "--n", "3", "--out", out_file, "--resume")
+        assert code == 0
+        assert out == f"0 pairs classified, 36 already in the file -> {out_file}\n"
+
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_nonpositive_workers_is_invalid(self, capsys, workers):
         code, _, err = run(capsys, "sweep", "--n", "2", "--workers", workers)

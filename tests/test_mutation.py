@@ -5,14 +5,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from klhom import mutation
-from klhom.classifier import VerdictKind, working_generators
+from klhom.classifier import ClassifierConfig, VerdictKind, classify, working_generators
 from klhom.mutation import (ABRUPT_STOP, DEPTH_EXHAUSTED, TERMINATED, MutationConfig,
                             MutationOutcome, MutationState, StageTerm, cancel_outstanding,
                             mutation_step, run_mutation, stage0_setup, verify_certificate)
 from klhom.oracle import laplace_determinant
 from klhom.paths import determinant, homogeneous_components, is_inhomogeneous_det
 from klhom.permutations import Permutation
-from klhom.polynomials import Polynomial, mono_from_vars, mono_sort_key
+from klhom.polynomials import Polynomial, mono_divides, mono_from_vars, mono_sort_key
 
 
 def poly(*terms):
@@ -59,17 +59,21 @@ def ledger_checks(monkeypatch):
     return checked
 
 
-def rewrite_components(v, w):
-    """run_mutation on the homogeneous components of the inhomogeneous
-    generators of (v, w), in the classifier's order, up to the first one
-    that does not terminate: the runs of the classifier's last stage."""
+def component_runs(v, w):
+    """``(target, gens, target_gen_index)`` for every homogeneous component
+    of every inhomogeneous generator of (v, w), in the classifier's order."""
     z, _, keep = working_generators(v, w)
     gen_polys = [determinant(m, z) for m in keep]
-    for idx, m in enumerate(keep):
-        if is_inhomogeneous_det(m, z):
-            for comp in homogeneous_components(gen_polys[idx]):
-                if not run_mutation(comp, gen_polys, target_gen_index=idx).terminated:
-                    return
+    return [(comp, gen_polys, idx) for idx, m in enumerate(keep) if is_inhomogeneous_det(m, z)
+            for comp in homogeneous_components(gen_polys[idx])]
+
+
+def rewrite_components(v, w):
+    """run_mutation on the component runs of (v, w) up to the first one that
+    does not terminate: the runs of the classifier's last stage."""
+    for target, gens, idx in component_runs(v, w):
+        if not run_mutation(target, gens, target_gen_index=idx).terminated:
+            return
 
 
 REWRITTEN = {VerdictKind.MUTATION_CERTIFIED_HOMOGENEOUS.value, VerdictKind.UNDETERMINED.value}
@@ -277,3 +281,79 @@ class TestCancelOutstanding:
                       for pos, (i, c) in enumerate(spec))
         got = cancel_outstanding(terms)
         assert [t.tail for t in got] == [t.tail for t in cancel_by_scan(terms)]
+
+
+def brute_divisors(mono, gens, exclude_gen, exclude_term):
+    """Reference for _divisors_for: every generator term, tested one by one."""
+    return [(gi, gm, gc) for gi, g in enumerate(gens) if gi != exclude_gen
+            for gm, gc in g.terms() if (gi, gm) != exclude_term and mono_divides(gm, mono)]
+
+
+HARNESS_VARS = ("x1", "x2", "x3", "x4")
+HARNESS_TERMS = [(gi, gm) for gi, g in enumerate(HARNESS) for gm, _ in g.terms()]
+harness_monos = st.lists(st.integers(0, 2), min_size=4, max_size=4).map(
+    lambda exps: tuple((v, e) for v, e in zip(HARNESS_VARS, exps) if e))
+
+
+class TestGeneratorTable:
+    """The divisor and cross-term table of a generator tuple is shared by
+    every node and run over that tuple; it must answer as a fresh scan does."""
+
+    @given(st.permutations(range(len(HARNESS))), harness_monos,
+           st.sampled_from([None, 0, 1, 2]), st.sampled_from([None] + HARNESS_TERMS))
+    def test_divisors_match_a_brute_scan(self, order, mono, exclude_gen, exclude_term):
+        gens = tuple(HARNESS[i] for i in order)
+        if exclude_term is not None:
+            exclude_term = (order.index(exclude_term[0]), exclude_term[1])
+        assert mutation._divisors_for(mono, gens, exclude_gen, exclude_term) \
+            == brute_divisors(mono, gens, exclude_gen, exclude_term)
+
+    def test_table_never_goes_stale(self):
+        # runs over two generator tuples, alternating, then the first tuple
+        # reversed right after a run over it in its own order
+        certified = component_runs(Permutation.parse("23145"), Permutation.parse("45132"))
+        stalled = component_runs(Permutation.parse("1324"), Permutation.parse("4132"))
+        target, gens, idx = certified[0]
+        reversed_run = (target, gens[::-1], len(gens) - 1 - idx)
+        runs = [certified[0], stalled[0], certified[-1], stalled[-1], certified[0], reversed_run]
+        fresh = []
+        for target, gens, idx in runs:
+            mutation._gen_table.cache_clear()
+            fresh.append(run_mutation(target, gens, target_gen_index=idx))
+        shared = [run_mutation(target, gens, target_gen_index=idx) for target, gens, idx in runs]
+        assert shared == fresh
+        assert {out.status for out in fresh} == {TERMINATED, DEPTH_EXHAUSTED}
+
+
+# (v, w, calls to stage0_setup plus mutation_step, verdict, reason, digest) at
+# depth 8 without the pattern shortcut.  The counts pin the search tree: a
+# faster search must visit exactly these nodes.  (1234, 3412) opens no node
+# (its first component has a term with no external divisor); (23145, 53142)
+# spends the whole branch budget.
+SEARCH_TREES = [
+    ("1234", "3412", 0, "undetermined",
+     "abrupt_stop@stage0:no external divisor for a target term", "4bc247256cd4"),
+    ("1234", "1342", 4, "mutation_certified_homogeneous", "all-components-certified",
+     "46f363802495"),
+    ("23145", "45132", 142, "mutation_certified_homogeneous", "all-components-certified",
+     "491f991ce0d4"),
+    ("23145", "53142", 256, "undetermined", "depth_exhausted@stage8:", "a95259d9d16f"),
+]
+
+
+@pytest.mark.parametrize("v, w, nodes, verdict, reason, digest", SEARCH_TREES)
+def test_search_tree_is_pinned(monkeypatch, v, w, nodes, verdict, reason, digest):
+    calls = [0]
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("stage0_setup", "mutation_step"):
+        monkeypatch.setattr(mutation, name, counting(getattr(mutation, name)))
+    report = classify(Permutation.parse(v), Permutation.parse(w),
+                      ClassifierConfig(pattern_shortcut=False))
+    assert (calls[0], report.verdict.kind.value, report.verdict.reason,
+            report.verdict.digest()) == (nodes, verdict, reason, digest)
