@@ -30,7 +30,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .errors import ConsistencyError
@@ -97,26 +97,11 @@ class ComponentCertificate:
 _encode = json.JSONEncoder(sort_keys=True).encode
 # a JSON string literal, as json.dumps writes it
 _json_str = json.encoder.encode_basestring_ascii
-# a JSONL line: a record's fields in sorted key order, as json.dumps(record,
-# sort_keys=True) writes them.  Filled in directly: JSONEncoder.encode sets up
-# an encoder on every call, which cost more than the rest of a plain record's
-# line.  tests/test_classifier.py compares the two byte for byte.
-_LINE = ('{{"detail": {}, "digest": {}, "gens_after": {}, "gens_before": {}, '
-         '"n_inhomogeneous": {}, "n_singular": {}, "reason": {}, "v": {}, "verdict": {}, '
-         '"w": {}, "wall_ms": {!r}}}')
 
 
 def _hash(text: str) -> str:
     """The 12-hex-digit digest of an encoded verdict record."""
     return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-@lru_cache(maxsize=None)
-def _plain_encoding(kind: VerdictKind, reason: str) -> tuple[str, str]:
-    """The encoded record and digest of a verdict with neither witness nor
-    certificates, whose record holds its kind and reason alone."""
-    text = _encode(Verdict(kind, reason).to_record())
-    return text, _hash(text)
 
 
 @dataclass(frozen=True)
@@ -134,19 +119,33 @@ class Verdict:
             rec["certificates"] = [c.to_record() for c in self.certificates]
         return rec
 
+    @cached_property
     def encoded(self) -> tuple[dict, str, str]:
-        """:meth:`to_record`, its sorted JSON text and its digest, the record
-        encoded once."""
-        if self.witness is None and self.certificates is None:
-            return ({"kind": self.kind.value, "reason": self.reason},
-                    *_plain_encoding(self.kind, self.reason))
+        """:meth:`to_record`, its sorted JSON text and its digest, encoded
+        once per verdict.  The record is shared: copy it before handing it on."""
         record = self.to_record()
         text = _encode(record)
         return record, text, _hash(text)
 
+    @cached_property
+    def _line_parts(self) -> tuple[str, str, str]:
+        """The JSONL line's pieces that only the verdict fixes: the line up
+        to the value of ``gens_after``, and the JSON text of the reason and
+        of the kind."""
+        _, text, digest = self.encoded
+        return (f'{{"detail": {text}, "digest": {_json_str(digest)}, "gens_after": ',
+                _json_str(self.reason), _json_str(self.kind.value))
+
     def digest(self) -> str:
         """The digest of :meth:`to_record`."""
-        return self.encoded()[2]
+        return self.encoded[2]
+
+
+@lru_cache(maxsize=None)
+def _plain(kind: VerdictKind, reason: str) -> Verdict:
+    """The one verdict with this kind and reason and neither witness nor
+    certificates; every report that carries it shares it and its encoding."""
+    return Verdict(kind, reason)
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,7 @@ class ClassifierConfig:
     mutation: MutationConfig = field(default_factory=MutationConfig)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassificationReport:
     v: Permutation
     w: Permutation
@@ -172,25 +171,30 @@ class ClassificationReport:
     def record_line(self) -> tuple[dict, str]:
         """:meth:`to_record` and its JSONL line, the text of
         ``json.dumps(record, sort_keys=True)``.  The line holds the detail's
-        one encoding, which the digest hashes too."""
-        detail, detail_text, digest = self.verdict.encoded()
+        one encoding, which the digest hashes too; the record holds its own
+        copy of the detail."""
+        detail, _, digest = self.verdict.encoded
+        head, reason, kind = self.verdict._line_parts
+        v, w, wall_ms = str(self.v), str(self.w), round(self.wall_ms, 3)
         record = {
-            "v": str(self.v), "w": str(self.w),
-            "verdict": self.verdict.kind.value,
+            "v": v, "w": w,
+            "verdict": detail["kind"],
             "reason": self.verdict.reason,
             "digest": digest,
             "gens_before": self.gens_before,
             "gens_after": self.gens_after,
             "n_singular": self.n_singular,
             "n_inhomogeneous": self.n_inhomogeneous,
-            "wall_ms": round(self.wall_ms, 3),
-            "detail": detail,
+            "wall_ms": wall_ms,
+            "detail": dict(detail),
         }
-        line = _LINE.format(detail_text, _json_str(digest), self.gens_after, self.gens_before,
-                            self.n_inhomogeneous, self.n_singular,
-                            _json_str(self.verdict.reason), _json_str(record["v"]),
-                            _json_str(record["verdict"]), _json_str(record["w"]),
-                            record["wall_ms"])
+        # the fields in sorted key order, as json.dumps writes them; filled in
+        # directly, since JSONEncoder.encode sets up an encoder on every call.
+        # A word holds only digits and commas, which JSON writes as they are.
+        line = (f'{head}{self.gens_after}, "gens_before": {self.gens_before}, '
+                f'"n_inhomogeneous": {self.n_inhomogeneous}, "n_singular": {self.n_singular}, '
+                f'"reason": {reason}, "v": "{v}", "verdict": {kind}, "w": "{w}", '
+                f'"wall_ms": {wall_ms!r}}}')
         return record, line
 
 
@@ -262,9 +266,9 @@ def _core_verdict(v: Permutation, w: Permutation, z: ZMatrix, keep: list[MinorSp
     """Steps past the discard gates; returns (verdict, inhomogeneous count)."""
     inhom = [m for m in keep if is_inhomogeneous_det(m, z)]
     if not keep:
-        return Verdict(VerdictKind.KNOWN_HOMOGENEOUS, reason="no-nonzero-generators"), 0
+        return _plain(VerdictKind.KNOWN_HOMOGENEOUS, "no-nonzero-generators"), 0
     if not inhom:
-        return Verdict(VerdictKind.KNOWN_HOMOGENEOUS, reason="all-generators-homogeneous"), 0
+        return _plain(VerdictKind.KNOWN_HOMOGENEOUS, "all-generators-homogeneous"), 0
     gens = GeneratorSet(v, w, tuple(keep))
     witness = necessary_condition_fails(gens, z, inhom)
     if witness is not None:
@@ -280,12 +284,12 @@ def _core_verdict(v: Permutation, w: Permutation, z: ZMatrix, keep: list[MinorSp
             outcome = run_mutation(comp, gen_polys, cfg.mutation, target_gen_index=idx)
             if not outcome.terminated:
                 reason = f"{outcome.status}@stage{outcome.stage}:{outcome.reason}"
-                return Verdict(VerdictKind.UNDETERMINED, reason=reason), len(inhom)
+                return _plain(VerdictKind.UNDETERMINED, reason), len(inhom)
             if not verify_certificate(outcome, comp, gen_polys):
                 raise ConsistencyError(
                     f"rewriting certificate for ({v}, {w}) failed re-verification")
             certificates.append(ComponentCertificate(
-                m, next(iter(comp.degrees())), outcome.certificate))
+                m, mono_degree(comp.terms()[0][0]), outcome.certificate))
     return Verdict(VerdictKind.MUTATION_CERTIFIED_HOMOGENEOUS,
                    reason="all-components-certified",
                    certificates=tuple(certificates)), len(inhom)
@@ -306,9 +310,9 @@ def classify(v: Permutation, w: Permutation,
 
     # no defining minor at all exactly when w is order-reversing
     if gens_before == 0:
-        return report(Verdict(VerdictKind.EMPTY_IDEAL, reason="w-is-order-reversing"))
+        return report(_plain(VerdictKind.EMPTY_IDEAL, "w-is-order-reversing"))
     if not dominates(rank_matrix(v), rank_matrix(w)):
-        return report(Verdict(VerdictKind.UNIT_IDEAL, reason="rank-domination-fails"))
+        return report(_plain(VerdictKind.UNIT_IDEAL, "rank-domination-fails"))
 
     z, pruned, keep = working_generators(v, w)
     gens_after = len(keep)
@@ -323,10 +327,9 @@ def classify(v: Permutation, w: Permutation,
                               reason=f"{verdict.reason};pattern-claim-contradicted:{reason}",
                               witness=verdict.witness)
         elif verdict.kind is VerdictKind.KNOWN_HOMOGENEOUS:
-            verdict = Verdict(verdict.kind, reason=reason)
+            verdict = _plain(verdict.kind, reason)
         elif verdict.kind is VerdictKind.UNDETERMINED:
-            verdict = Verdict(verdict.kind,
-                              reason=f"{verdict.reason};pattern-claim-unconfirmed:{reason}")
+            verdict = _plain(verdict.kind, f"{verdict.reason};pattern-claim-unconfirmed:{reason}")
     return report(verdict, gens_after, n_singular, n_inhom)
 
 

@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .classifier import ClassifierConfig, classify, finished_pairs, sweep
+from .errors import ConsistencyError
 from .minors import pruned_defining_minors, relevant_rows_for_column, si_sequence_raw
 from .mutation import MutationConfig
 from .oracle import run_verification
@@ -181,6 +182,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except ConsistencyError as exc:
+        # a verdict's exact re-check failed: a verification mismatch
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

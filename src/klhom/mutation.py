@@ -13,11 +13,16 @@ cancel one of its existing terms.
 Divisor choices are genuine choice points: a greedy pick can fail where
 another succeeds, so the driver backtracks over them within a node budget.
 A node's frontier (the terms that survive cancellation, with the admissible
-divisors of each) is computed once per node and shared by all its children.
+divisors of each) is computed once per node, with one lookup of the
+generator table, and shared by all its children.
 Below the nodes, each monomial's divisor scan and each division's quotient
 and cross terms run once per generator tuple: one table, kept for the latest
 tuple, serves every node and every run over it, so the components of one
 pair share it.
+Each multiplier is an unordered ``{monomial: coefficient}`` dict.  A step
+copies only the dicts it extends and shares the rest with its parent, so no
+node's multipliers change once it is built; the certificate's polynomials
+put their terms in canonical order.
 Termination is certified by the multipliers and re-checked exactly;
 everything else is reported as undetermined, never as a homogeneity claim.
 Each step keeps sum multipliers * gens = target + sum outstanding by
@@ -33,7 +38,7 @@ stays an ``int``.  :func:`run_mutation` and :func:`stage0_setup` raise
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import ConsistencyError
@@ -87,7 +92,7 @@ class MutationOutcome:
 class MutationState:
     target: Polynomial
     gens: tuple[Polynomial, ...]
-    multipliers: tuple[tuple[tuple[Mono, Coeff], ...], ...]
+    multipliers: tuple[dict[Mono, Coeff], ...]  # never mutated; a step copies what it extends
     outstanding: tuple[StageTerm, ...]
     stage: int
 
@@ -99,9 +104,10 @@ class MutationState:
         if not alive:
             return MutationOutcome(TERMINATED, self.stage,
                                    certificate=self.multiplier_polys())
+        table = _gen_table(self.gens)
         frontier = []
         for term in alive:
-            divs = _divisors_for(term.mono, self.gens, exclude_term=term.tail)
+            divs = table.admissible(term.mono, exclude_term=term.tail)
             if not divs:
                 return MutationOutcome(ABRUPT_STOP, self.stage,
                                        reason="a generated term has no admissible divisor")
@@ -109,7 +115,7 @@ class MutationState:
         return tuple(frontier)
 
     def multiplier_polys(self) -> tuple[Polynomial, ...]:
-        return tuple(Polynomial(dict(m)) for m in self.multipliers)
+        return tuple(Polynomial(m) for m in self.multipliers)
 
 
 class _GenTable:
@@ -137,6 +143,14 @@ class _GenTable:
                 if all(exps.get(v, 0) >= e for v, e in t[1]))
         return divs
 
+    def admissible(self, mono: Mono, exclude_gen: int | None = None,
+                   exclude_term: tuple[int, Mono] | None = None) -> list[tuple[int, Mono, Coeff]]:
+        """:meth:`divisors` without the terms of generator ``exclude_gen``
+        and without the generator term ``exclude_term``."""
+        xi, xm = exclude_term if exclude_term is not None else (None, None)
+        return [d for d in self.divisors(mono)
+                if d[0] != exclude_gen and not (d[0] == xi and d[1] == xm)]
+
     def cross_terms(self, mono: Mono, gi: int, gm: Mono) -> tuple[Mono, tuple]:
         """``mono / gm`` and, for each other term ``oc * om`` of generator
         ``gi``, the cross term ``(oc, (mono / gm) * om, (gi, om))``."""
@@ -161,23 +175,19 @@ def _divisors_for(mono: Mono, gens: tuple[Polynomial, ...],
                   exclude_gen: int | None = None,
                   exclude_term: tuple[int, Mono] | None = None) -> list[tuple[int, Mono, Coeff]]:
     """Generator terms dividing the monomial, in canonical order."""
-    xi, xm = exclude_term if exclude_term is not None else (None, None)
-    return [d for d in _gen_table(gens).divisors(mono)
-            if d[0] != exclude_gen and not (d[0] == xi and d[1] == xm)]
+    return _gen_table(gens).admissible(mono, exclude_gen, exclude_term)
 
 
 def _add_multiplier(multipliers, gi: int, mono: Mono, coeff: Coeff):
-    """Extend one multiplier; None signals a forbidden cancellation."""
+    """Extend one multiplier, copying only its dict; None signals a
+    forbidden cancellation (``coeff`` is never zero)."""
     table = dict(multipliers[gi])
-    if mono in table:
-        merged = table[mono] + coeff
-        if merged == 0:
-            return None
-        table[mono] = merged
-    else:
-        table[mono] = coeff
+    merged = table.get(mono, 0) + coeff
+    if merged == 0:
+        return None
+    table[mono] = merged
     new = list(multipliers)
-    new[gi] = tuple(sorted(table.items(), key=lambda kv: mono_sort_key(kv[0])))
+    new[gi] = table
     return tuple(new)
 
 
@@ -252,8 +262,7 @@ def _expand(state: MutationState, entries, choices: tuple[int, ...] | None,
                                    reason="multiplier term cancelled")
         multipliers, new_terms = spawned
         outstanding.extend(new_terms)
-    return replace(state, multipliers=multipliers,
-                   outstanding=tuple(outstanding), stage=next_stage)
+    return MutationState(state.target, state.gens, multipliers, tuple(outstanding), next_stage)
 
 
 def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, ...],
@@ -268,7 +277,7 @@ def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     _gen_table(gens)  # raises ValueError unless every coefficient is ±1
     state = MutationState(
         target=target, gens=gens,
-        multipliers=tuple(() for _ in gens),
+        multipliers=tuple({} for _ in gens),
         outstanding=(), stage=0,
     )
     options = _target_options(target, gens, target_gen_index)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable
 
+from .zmatrix import Cell, cell_name
+
 Var = Hashable
 Mono = tuple[tuple[Var, int], ...]
 Coeff = int
@@ -61,8 +63,6 @@ def mono_div(a: Mono, b: Mono) -> Mono:
 
 
 def _mono_str(m: Mono) -> str:
-    from .zmatrix import Cell, cell_name
-
     if not m:
         return "1"
     parts = []

@@ -16,6 +16,7 @@ from klhom.classifier import (CSV_HEADER, ClassifierConfig, ConsistencyError, Ve
                               classify, necessary_condition_fails, sweep,
                               verify_inhomogeneity_witness, working_generators)
 from klhom.minors import GeneratorSet, enumerate_defining_minors
+from klhom.mutation import MutationConfig
 from klhom.oracle import laplace_determinant
 from klhom.paths import homogeneous_components, is_singular
 from klhom.permutations import Permutation, all_permutations
@@ -347,6 +348,25 @@ class TestSweep:
         for r in records:
             blob = json.dumps(r["detail"], sort_keys=True).encode()
             assert r["digest"] == hashlib.sha256(blob).hexdigest()[:12]
+        assert {"witness", "certificates"} <= {k for r in records for k in r["detail"]}
+
+    @pytest.mark.parametrize("pattern_shortcut", [True, False])
+    @pytest.mark.parametrize("depth", [2, 8])
+    def test_record_lines_and_details(self, pattern_shortcut, depth):
+        # every pair of S_3 and S_4: each line is the sorted JSON of its
+        # record, and each record holds its own detail dict, although the
+        # reports of one plain verdict share that verdict and its encoding
+        cfg = ClassifierConfig(pattern_shortcut, MutationConfig(depth_limit=depth))
+        reports = [classify(v, w, cfg) for n in (3, 4)
+                   for v in all_permutations(n) for w in all_permutations(n)]
+        records = []
+        for report in reports:
+            record, line = report.record_line()
+            assert line == json.dumps(report.to_record(), sort_keys=True)
+            assert line == json.dumps(record, sort_keys=True)
+            records.append(record)
+        assert len({id(r["detail"]) for r in records}) == len(records)
+        assert len({id(r.verdict) for r in reports}) < len(reports)
         assert {"witness", "certificates"} <= {k for r in records for k in r["detail"]}
 
     def test_plain_verdict_digest_memo(self, s4_reports_no_shortcut):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from klhom.cli import main
+import klhom.classifier
+from klhom.cli import EXIT_MISMATCH, main
 
 
 def run(capsys, *argv):
@@ -77,6 +78,20 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--n", "7")
         assert code == 3
         assert "exceeds" in err
+
+
+# classify(1234, 2143) is certified by the rewriting search; with the
+# classifier's certificate re-check made to fail, each subcommand that
+# classifies it reports a verification mismatch instead of a traceback
+MISMATCH_ARGV = [["classify", "--v", "1234", "--w", "2143"], ["sweep", "--n", "4"]]
+
+
+@pytest.mark.parametrize("argv", MISMATCH_ARGV, ids=["classify", "sweep"])
+def test_failed_recheck_is_a_mismatch(capsys, monkeypatch, argv):
+    monkeypatch.setattr(klhom.classifier, "verify_certificate", lambda *args: False)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_MISMATCH
+    assert err.startswith("error: ") and "failed re-verification" in err
 
 
 class TestShow:

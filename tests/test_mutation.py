@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -323,6 +324,58 @@ class TestGeneratorTable:
         shared = [run_mutation(target, gens, target_gen_index=idx) for target, gens, idx in runs]
         assert shared == fresh
         assert {out.status for out in fresh} == {TERMINATED, DEPTH_EXHAUSTED}
+
+
+def search_nodes(target, gens, idx, limit):
+    """Up to ``limit`` states of the search tree, breadth first, each with
+    the multipliers it held before its children were spawned and its child
+    states."""
+    gens = tuple(gens)
+    options = mutation._target_options(target, gens, idx)
+    queue = [stage0_setup(target, gens, idx, choices=vector)
+             for vector in itertools.product(*(range(len(divs)) for divs in options))]
+    nodes = []
+    while queue and len(nodes) < limit:
+        state = queue.pop(0)
+        if not isinstance(state, MutationState):
+            continue
+        before = [dict(m) for m in state.multipliers]
+        frontier = state._frontier
+        children = [] if isinstance(frontier, MutationOutcome) else [
+            mutation_step(state, choices=vector)
+            for vector in itertools.product(*(range(len(divs)) for _, divs in frontier))]
+        children = [c for c in children if isinstance(c, MutationState)]
+        nodes.append((state, before, children))
+        queue.extend(children)
+    return nodes
+
+
+@pytest.fixture(scope="module")
+def certified_tree():
+    """The first 150 nodes of the search over the first component of
+    (23145, 45132), whose nodes mostly have several children."""
+    runs = component_runs(Permutation.parse("23145"), Permutation.parse("45132"))
+    return search_nodes(*runs[0], limit=150)
+
+
+class TestDictMultipliers:
+    """Each multiplier is a dict that a step copies before extending it, so
+    a node and its children may share the dicts that the step left alone."""
+
+    def test_children_never_change_their_node(self, certified_tree):
+        assert sum(len(children) for _, _, children in certified_tree) > len(certified_tree)
+        for state, before, _ in certified_tree:
+            assert list(state.multipliers) == before
+
+    def test_siblings_extend_independent_dicts(self, certified_tree):
+        extended_by_both = 0
+        for state, _, children in certified_tree:
+            for a, b in itertools.combinations(children, 2):
+                for gi, mult in enumerate(state.multipliers):
+                    if a.multipliers[gi] is not mult and b.multipliers[gi] is not mult:
+                        extended_by_both += 1
+                        assert a.multipliers[gi] is not b.multipliers[gi]
+        assert extended_by_both > 0
 
 
 # (v, w, calls to stage0_setup plus mutation_step, verdict, reason, digest) at
