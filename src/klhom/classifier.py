@@ -42,9 +42,9 @@ from .minors import (GeneratorSet, MinorSpec, defining_minor_count,
 from .mutation import MutationConfig, run_mutation, verify_certificate
 from .paths import (determinant, exists_dividing_term_structural, homogeneous_components,
                     is_inhomogeneous_det, is_singular, is_unit_determinant)
-from .permutations import (Permutation, all_permutations, avoids_pattern, dominates,
-                           is_longest_element, rank_matrix)
-from .polynomials import Mono, Polynomial, mono_degree, mono_divides
+from .permutations import (SUPPORTED_PATTERNS, Permutation, all_permutations, avoids_pattern,
+                           dominates, is_longest_element, rank_matrix)
+from .polynomials import Mono, Polynomial, mono_degree, mono_divides, poly_texts
 from .zmatrix import ZMatrix, build_z, cell_name
 
 
@@ -87,8 +87,7 @@ class ComponentCertificate:
         return {
             "generator": self.generator.to_record(),
             "degree": self.degree,
-            # most multipliers are zero; "0" is what str writes for them
-            "multipliers": ["0" if p.is_zero else str(p) for p in self.multipliers],
+            "multipliers": poly_texts(self.multipliers),
         }
 
 
@@ -146,6 +145,11 @@ def _plain(kind: VerdictKind, reason: str) -> Verdict:
     """The one verdict with this kind and reason and neither witness nor
     certificates; every report that carries it shares it and its encoding."""
     return Verdict(kind, reason)
+
+
+# the gates' verdicts, looked up once rather than per pair
+_EMPTY = _plain(VerdictKind.EMPTY_IDEAL, "w-is-order-reversing")
+_UNIT = _plain(VerdictKind.UNIT_IDEAL, "rank-domination-fails")
 
 
 @dataclass(frozen=True)
@@ -254,9 +258,10 @@ def verify_inhomogeneity_witness(witness: InhomogeneityWitness, gens: GeneratorS
 
 
 def _pattern_reason(v: Permutation, w: Permutation) -> str | None:
-    if avoids_pattern(v, Permutation((3, 2, 1))):
+    p321, p132 = SUPPORTED_PATTERNS
+    if avoids_pattern(v, p321):
         return "v-avoids-321"
-    if avoids_pattern(w, Permutation((1, 3, 2))):
+    if avoids_pattern(w, p132):
         return "w-avoids-132"
     return None
 
@@ -264,13 +269,13 @@ def _pattern_reason(v: Permutation, w: Permutation) -> str | None:
 def _core_verdict(v: Permutation, w: Permutation, z: ZMatrix, keep: list[MinorSpec],
                   cfg: ClassifierConfig) -> tuple[Verdict, int]:
     """Steps past the discard gates; returns (verdict, inhomogeneous count)."""
-    inhom = [m for m in keep if is_inhomogeneous_det(m, z)]
+    inhom = [(idx, m) for idx, m in enumerate(keep) if is_inhomogeneous_det(m, z)]
     if not keep:
         return _plain(VerdictKind.KNOWN_HOMOGENEOUS, "no-nonzero-generators"), 0
     if not inhom:
         return _plain(VerdictKind.KNOWN_HOMOGENEOUS, "all-generators-homogeneous"), 0
     gens = GeneratorSet(v, w, tuple(keep))
-    witness = necessary_condition_fails(gens, z, inhom)
+    witness = necessary_condition_fails(gens, z, [m for _, m in inhom])
     if witness is not None:
         if not verify_inhomogeneity_witness(witness, gens, z):
             raise ConsistencyError(f"witness for ({v}, {w}) failed re-verification")
@@ -278,8 +283,7 @@ def _core_verdict(v: Permutation, w: Permutation, z: ZMatrix, keep: list[MinorSp
                        witness=witness), len(inhom)
     gen_polys = [determinant(g, z) for g in keep]
     certificates = []
-    for m in inhom:
-        idx = keep.index(m)
+    for idx, m in inhom:
         for comp in homogeneous_components(gen_polys[idx]):
             outcome = run_mutation(comp, gen_polys, cfg.mutation, target_gen_index=idx)
             if not outcome.terminated:
@@ -297,7 +301,7 @@ def _core_verdict(v: Permutation, w: Permutation, z: ZMatrix, keep: list[MinorSp
 
 def classify(v: Permutation, w: Permutation,
              cfg: ClassifierConfig = ClassifierConfig()) -> ClassificationReport:
-    if v.n != w.n:
+    if len(v.word) != len(w.word):
         raise ValueError(f"size mismatch: {v.n} vs {w.n}")
     t0 = time.perf_counter()
     gens_before = defining_minor_count(w)
@@ -310,9 +314,9 @@ def classify(v: Permutation, w: Permutation,
 
     # no defining minor at all exactly when w is order-reversing
     if gens_before == 0:
-        return report(_plain(VerdictKind.EMPTY_IDEAL, "w-is-order-reversing"))
+        return report(_EMPTY)
     if not dominates(rank_matrix(v), rank_matrix(w)):
-        return report(_plain(VerdictKind.UNIT_IDEAL, "rank-domination-fails"))
+        return report(_UNIT)
 
     z, pruned, keep = working_generators(v, w)
     gens_after = len(keep)

@@ -15,6 +15,13 @@ another succeeds, so the driver backtracks over them within a node budget.
 A node's frontier (the terms that survive cancellation, with the admissible
 divisors of each) is computed once per node, with one lookup of the
 generator table, and shared by all its children.
+Children at the depth limit are checked, not built.  The search reads none
+of such a child's terms: it ends the child as depth exhausted, unless the
+division that makes the child cancels a multiplier term, which stops it
+abruptly.  So for each of its choice vectors the search only tests that
+cancellation against the parent's multipliers, and builds no cross terms,
+no ``StageTerm`` and no copied dict.  The leaves are visited in the same
+order and count against the branch budget as built nodes do.
 Below the nodes, each monomial's divisor scan and each division's quotient
 and cross terms run once per generator tuple: one table, kept for the latest
 tuple, serves every node and every run over it, so the components of one
@@ -38,7 +45,8 @@ stays an ``int``.  :func:`run_mutation` and :func:`stage0_setup` raise
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import ConsistencyError
@@ -82,6 +90,9 @@ class MutationOutcome:
     stage: int
     reason: str = ""
     certificate: tuple[Polynomial, ...] | None = None
+    # choice vectors the search visited within its branch budget, each one
+    # built as a node or, at the depth limit, only checked; not compared
+    nodes: int = field(default=0, compare=False)
 
     @property
     def terminated(self) -> bool:
@@ -324,7 +335,9 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
 
     Outcome strength: terminated > abrupt stop > depth exhausted.  A
     certificate is only ever produced by termination and always re-verifies
-    sum g_j * f_j == target exactly.
+    sum g_j * f_j == target exactly.  Children at ``cfg.depth_limit`` are
+    checked for a cancelled multiplier term instead of built; the outcome,
+    and its count of visited nodes, are those of building them.
     """
     gens = tuple(gens)
     _gen_table(gens)  # raises ValueError unless every coefficient is ±1
@@ -339,13 +352,14 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
         return MutationOutcome(TERMINATED, 0, certificate=tuple(cert))
 
     nodes = [0]
+    budget = cfg.branch_budget
 
     def explore(counts: list[int], child, stage: int) -> MutationOutcome:
         """Try every choice vector over ``counts`` in order, within the budget."""
         best: MutationOutcome | None = None
         for vector in itertools.product(*(range(c) for c in counts)):
             nodes[0] += 1
-            if nodes[0] > cfg.branch_budget:
+            if nodes[0] > budget:
                 break
             nxt = child(vector)
             out = nxt if isinstance(nxt, MutationOutcome) else explore_state(nxt)
@@ -354,12 +368,43 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
                 break
         return best if best is not None else MutationOutcome(DEPTH_EXHAUSTED, stage)
 
+    def check_leaves(multipliers, entries, stage: int, next_stage: int,
+                     negate: bool) -> MutationOutcome:
+        """:func:`explore` over children at the depth limit, without building
+        them.  Such a child ends as DEPTH_EXHAUSTED unread, unless building it
+        cancels a multiplier term (ABRUPT_STOP), so each choice vector only
+        runs ``_add_multiplier``'s check over the parent's dicts.  No leaf
+        terminates, so after the first abort the vectors left only count."""
+        sign = -1 if negate else 1
+        # per entry and divisor: the multiplier term the division extends,
+        # the parent's coefficient there, and the quotient's coefficient
+        moves = [[((gi, mu := mono_div(mono, gm)), multipliers[gi].get(mu, 0), sign * coeff * gc)
+                  for gi, gm, gc in divs]
+                 for coeff, mono, divs in entries]
+        total = math.prod(map(len, moves))
+        for i, picked in enumerate(itertools.product(*moves)):
+            nodes[0] += 1
+            if nodes[0] > budget:  # as explore ends, with or without a visited child
+                return MutationOutcome(DEPTH_EXHAUSTED, next_stage if i else stage)
+            merged = {}
+            for key, base, coeff in picked:
+                merged[key] = value = merged.get(key, base) + coeff
+                if value == 0:
+                    nodes[0] = min(nodes[0] + total - i - 1, budget + 1)
+                    return MutationOutcome(ABRUPT_STOP, stage,
+                                           reason="multiplier term cancelled")
+        return MutationOutcome(DEPTH_EXHAUSTED, next_stage)
+
     def explore_state(state: MutationState) -> MutationOutcome:
         if state.stage >= cfg.depth_limit:
             return MutationOutcome(DEPTH_EXHAUSTED, state.stage)
         frontier = state._frontier
         if isinstance(frontier, MutationOutcome):
             return frontier
+        if state.stage + 1 >= cfg.depth_limit:
+            return check_leaves(state.multipliers,
+                                [(term.coeff, term.mono, divs) for term, divs in frontier],
+                                state.stage, state.stage + 1, negate=True)
         return explore([len(divs) for _, divs in frontier],
                        lambda vector: mutation_step(state, choices=vector),
                        state.stage)
@@ -367,13 +412,20 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     options = _target_options(target, gens, target_gen_index)
     if isinstance(options, MutationOutcome):
         return options
-    best = explore([len(divs) for divs in options],
-                   lambda vector: stage0_setup(target, gens, target_gen_index,
-                                               choices=vector),
-                   0)
+    if cfg.depth_limit == 0:
+        best = check_leaves(tuple({} for _ in gens),
+                            [(coeff, mono, divs) for (mono, coeff), divs
+                             in zip(target.terms(), options)],
+                            0, 0, negate=False)
+    else:
+        best = explore([len(divs) for divs in options],
+                       lambda vector: stage0_setup(target, gens, target_gen_index,
+                                                   choices=vector),
+                       0)
     if best.terminated and not verify_certificate(best, target, gens):
         raise ConsistencyError("a rewriting certificate failed its exact re-check")
-    return best
+    return MutationOutcome(best.status, best.stage, best.reason, best.certificate,
+                           min(nodes[0], budget))
 
 
 def verify_certificate(outcome: MutationOutcome, target: Polynomial,

@@ -16,7 +16,7 @@ Everything here is immutable and safe to share across workers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
@@ -32,6 +32,11 @@ class Permutation:
     """
 
     word: tuple[int, ...]
+    # computed once: every cache keyed on a permutation hashes it on each
+    # lookup (the dataclass hash, hash((word,))), and every sweep record
+    # prints it
+    _hash: int = field(init=False, repr=False, compare=False)
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.word)
@@ -39,6 +44,11 @@ class Permutation:
             raise ValueError("permutation must have size >= 1")
         if sorted(self.word) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.word!r}")
+        object.__setattr__(self, "_hash", hash((self.word,)))
+        object.__setattr__(self, "_text", ("" if n < 10 else ",").join(map(str, self.word)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -49,7 +59,7 @@ class Permutation:
         return self.word[i - 1]
 
     def __str__(self) -> str:
-        return _word_text(self.word)
+        return self._text
 
     @staticmethod
     def parse(text: str) -> "Permutation":
@@ -69,11 +79,6 @@ class Permutation:
     def longest(n: int) -> "Permutation":
         """The order-reversing word n n-1 ... 1."""
         return Permutation(tuple(range(n, 0, -1)))
-
-
-@lru_cache(maxsize=None)
-def _word_text(word: tuple[int, ...]) -> str:
-    return ("" if len(word) < 10 else ",").join(map(str, word))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

@@ -110,8 +110,8 @@ class Polynomial:
     def terms(self) -> tuple[tuple[Mono, Coeff], ...]:
         """Terms in canonical order (descending degree, then variable order)."""
         if self._order is None:
-            self._order = tuple((m, self._terms[m]) for m in
-                                sorted(self._terms, key=mono_sort_key, reverse=True))
+            self._order = tuple(self._terms.items()) if len(self._terms) < 2 else tuple(
+                (m, self._terms[m]) for m in sorted(self._terms, key=mono_sort_key, reverse=True))
         return self._order
 
     def coeff(self, m: Mono) -> Coeff:
@@ -184,3 +184,8 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({self})"
 
+
+def poly_texts(polys: Iterable[Polynomial]) -> list[str]:
+    """``str`` of each polynomial.  Most multipliers of a rewriting
+    certificate are zero, and this prints those as "0" without a call."""
+    return [str(p) if p._terms else "0" for p in polys]

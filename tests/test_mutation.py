@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from klhom import mutation
+from klhom import classifier, mutation
 from klhom.classifier import ClassifierConfig, VerdictKind, classify, working_generators
 from klhom.mutation import (ABRUPT_STOP, DEPTH_EXHAUSTED, TERMINATED, MutationConfig,
                             MutationOutcome, MutationState, StageTerm, cancel_outstanding,
@@ -378,11 +378,82 @@ class TestDictMultipliers:
         assert extended_by_both > 0
 
 
-# (v, w, calls to stage0_setup plus mutation_step, verdict, reason, digest) at
-# depth 8 without the pattern shortcut.  The counts pin the search tree: a
-# faster search must visit exactly these nodes.  (1234, 3412) opens no node
-# (its first component has a term with no external divisor); (23145, 53142)
-# spends the whole branch budget.
+def reference_search(target, gens, cfg, idx):
+    """The search as it ran before children at the depth limit were checked
+    instead of built: every child is built by stage0_setup or mutation_step.
+    Returns the outcome and the number of children built."""
+    gens = tuple(gens)
+    options = mutation._target_options(target, gens, idx)
+    if mutation._trivial_scaling(target, gens) or isinstance(options, MutationOutcome):
+        return run_mutation(target, gens, cfg, idx), 0  # no node is visited
+    nodes, built = [0], [0]
+
+    def explore(counts, child, stage):
+        best = None
+        for vector in itertools.product(*(range(c) for c in counts)):
+            nodes[0] += 1
+            if nodes[0] > cfg.branch_budget:
+                break
+            built[0] += 1
+            nxt = child(vector)
+            out = nxt if isinstance(nxt, MutationOutcome) else explore_state(nxt)
+            best = mutation._stronger(best, out)
+            if best.terminated:
+                break
+        return best if best is not None else MutationOutcome(DEPTH_EXHAUSTED, stage)
+
+    def explore_state(state):
+        if state.stage >= cfg.depth_limit:
+            return MutationOutcome(DEPTH_EXHAUSTED, state.stage)
+        frontier = state._frontier
+        if isinstance(frontier, MutationOutcome):
+            return frontier
+        return explore([len(divs) for _, divs in frontier],
+                       lambda vector: mutation_step(state, choices=vector), state.stage)
+
+    best = explore([len(divs) for divs in options],
+                   lambda vector: stage0_setup(target, gens, idx, choices=vector), 0)
+    return best, built[0]
+
+
+@pytest.fixture(scope="module")
+def leaf_check_runs(s4_reports_no_shortcut):
+    """Every component run of the 35 S_4 pairs that reach the rewriting
+    search, none of which cancels a multiplier term; every component run of
+    (13245, 51432), which cancels one at the depth limit at each depth from 1
+    to 8; and the harness target whose stage-0 children cancel one."""
+    pairs = [pair for pair, report in s4_reports_no_shortcut.items()
+             if report.verdict.kind.value in REWRITTEN]
+    assert len(pairs) == 35
+    pairs.append((Permutation.parse("13245"), Permutation.parse("51432")))
+    stage0_cancel = (poly((1, "x3", "x1"), (-1, "x3", "x2")), (poly((1, "x1"), (1, "x2")),), None)
+    return [run for v, w in pairs for run in component_runs(v, w)] + [stage0_cancel]
+
+
+class TestLeafCheck:
+    """Children at the depth limit are checked for a cancelled multiplier
+    term, not built; the search must end and count as if it built them."""
+
+    def test_matches_building_every_child(self, leaf_check_runs):
+        leaf_abort_depths, budget_spent = set(), 0
+        for depth, budget in itertools.product(range(9), (1, 7, 256)):
+            cfg = MutationConfig(depth_limit=depth, branch_budget=budget)
+            for target, gens, idx in leaf_check_runs:
+                out = run_mutation(target, gens, cfg, target_gen_index=idx)
+                ref, built = reference_search(target, gens, cfg, idx)
+                assert (out, out.nodes) == (ref, built), (depth, budget, target)
+                if out.reason == "multiplier term cancelled" and out.stage == max(depth - 1, 0):
+                    leaf_abort_depths.add(depth)
+                budget_spent += built == budget
+        assert leaf_abort_depths == set(range(9)) and budget_spent > 0
+
+
+# (v, w, nodes the search visits, verdict, reason, digest) at depth 8 without
+# the pattern shortcut.  The counts pin the search tree: a faster search must
+# visit exactly these nodes, built or checked at the depth limit.
+# (1234, 3412) opens no node (its first component has a term with no external
+# divisor); (23145, 53142) spends the whole branch budget; (13245, 51432) is
+# decided by a child at the depth limit whose multiplier term cancels.
 SEARCH_TREES = [
     ("1234", "3412", 0, "undetermined",
      "abrupt_stop@stage0:no external divisor for a target term", "4bc247256cd4"),
@@ -391,22 +462,22 @@ SEARCH_TREES = [
     ("23145", "45132", 142, "mutation_certified_homogeneous", "all-components-certified",
      "491f991ce0d4"),
     ("23145", "53142", 256, "undetermined", "depth_exhausted@stage8:", "a95259d9d16f"),
+    ("13245", "51432", 256, "undetermined",
+     "abrupt_stop@stage7:multiplier term cancelled", "0710658b8288"),
 ]
 
 
 @pytest.mark.parametrize("v, w, nodes, verdict, reason, digest", SEARCH_TREES)
 def test_search_tree_is_pinned(monkeypatch, v, w, nodes, verdict, reason, digest):
-    calls = [0]
+    visited = [0]
 
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            calls[0] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting(*args, **kwargs):
+        out = run_mutation(*args, **kwargs)
+        visited[0] += out.nodes
+        return out
 
-    for name in ("stage0_setup", "mutation_step"):
-        monkeypatch.setattr(mutation, name, counting(getattr(mutation, name)))
+    monkeypatch.setattr(classifier, "run_mutation", counting)
     report = classify(Permutation.parse(v), Permutation.parse(w),
                       ClassifierConfig(pattern_shortcut=False))
-    assert (calls[0], report.verdict.kind.value, report.verdict.reason,
+    assert (visited[0], report.verdict.kind.value, report.verdict.reason,
             report.verdict.digest()) == (nodes, verdict, reason, digest)
