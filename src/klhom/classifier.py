@@ -42,9 +42,9 @@ from .minors import (GeneratorSet, MinorSpec, defining_minor_count,
 from .mutation import MutationConfig, run_mutation, verify_certificate
 from .paths import (determinant, exists_dividing_term_structural, homogeneous_components,
                     is_inhomogeneous_det, is_singular, is_unit_determinant)
-from .permutations import (SUPPORTED_PATTERNS, Permutation, all_permutations, avoids_pattern,
-                           dominates, is_longest_element, rank_matrix)
-from .polynomials import Mono, Polynomial, mono_degree, mono_divides, poly_texts
+from .permutations import (PATTERN_132, PATTERN_321, Permutation, all_permutations,
+                           avoids_pattern, dominates, is_longest_element, rank_matrix)
+from .polynomials import Mono, Polynomial, mono_degree, mono_divides
 from .zmatrix import ZMatrix, build_z, cell_name
 
 
@@ -87,7 +87,8 @@ class ComponentCertificate:
         return {
             "generator": self.generator.to_record(),
             "degree": self.degree,
-            "multipliers": poly_texts(self.multipliers),
+            # most multipliers are zero; "0" is what str writes for them
+            "multipliers": ["0" if p.is_zero else str(p) for p in self.multipliers],
         }
 
 
@@ -258,10 +259,9 @@ def verify_inhomogeneity_witness(witness: InhomogeneityWitness, gens: GeneratorS
 
 
 def _pattern_reason(v: Permutation, w: Permutation) -> str | None:
-    p321, p132 = SUPPORTED_PATTERNS
-    if avoids_pattern(v, p321):
+    if avoids_pattern(v, PATTERN_321):
         return "v-avoids-321"
-    if avoids_pattern(w, p132):
+    if avoids_pattern(w, PATTERN_132):
         return "w-avoids-132"
     return None
 
@@ -301,7 +301,7 @@ def _core_verdict(v: Permutation, w: Permutation, z: ZMatrix, keep: list[MinorSp
 
 def classify(v: Permutation, w: Permutation,
              cfg: ClassifierConfig = ClassifierConfig()) -> ClassificationReport:
-    if len(v.word) != len(w.word):
+    if v.n != w.n:
         raise ValueError(f"size mismatch: {v.n} vs {w.n}")
     t0 = time.perf_counter()
     gens_before = defining_minor_count(w)

@@ -368,32 +368,33 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
                 break
         return best if best is not None else MutationOutcome(DEPTH_EXHAUSTED, stage)
 
-    def check_leaves(multipliers, entries, stage: int, next_stage: int,
-                     negate: bool) -> MutationOutcome:
-        """:func:`explore` over children at the depth limit, without building
-        them.  Such a child ends as DEPTH_EXHAUSTED unread, unless building it
-        cancels a multiplier term (ABRUPT_STOP), so each choice vector only
-        runs ``_add_multiplier``'s check over the parent's dicts.  No leaf
-        terminates, so after the first abort the vectors left only count."""
-        sign = -1 if negate else 1
-        # per entry and divisor: the multiplier term the division extends,
+    def check_leaves(state: MutationState, frontier) -> MutationOutcome:
+        """:func:`explore` over the children of ``state`` when they sit at the
+        depth limit, without building them.  Such a child ends as
+        DEPTH_EXHAUSTED unread, unless building it cancels a multiplier term
+        (ABRUPT_STOP), so each choice vector only runs ``_add_multiplier``'s
+        check over the parent's dicts.  No leaf terminates, so after the
+        first abort the vectors left only count."""
+        multipliers = state.multipliers
+        # per term and divisor: the multiplier term the division extends,
         # the parent's coefficient there, and the quotient's coefficient
-        moves = [[((gi, mu := mono_div(mono, gm)), multipliers[gi].get(mu, 0), sign * coeff * gc)
+        moves = [[((gi, mu := mono_div(term.mono, gm)), multipliers[gi].get(mu, 0),
+                   -term.coeff * gc)
                   for gi, gm, gc in divs]
-                 for coeff, mono, divs in entries]
+                 for term, divs in frontier]
         total = math.prod(map(len, moves))
         for i, picked in enumerate(itertools.product(*moves)):
             nodes[0] += 1
             if nodes[0] > budget:  # as explore ends, with or without a visited child
-                return MutationOutcome(DEPTH_EXHAUSTED, next_stage if i else stage)
+                return MutationOutcome(DEPTH_EXHAUSTED, state.stage + 1 if i else state.stage)
             merged = {}
             for key, base, coeff in picked:
                 merged[key] = value = merged.get(key, base) + coeff
                 if value == 0:
                     nodes[0] = min(nodes[0] + total - i - 1, budget + 1)
-                    return MutationOutcome(ABRUPT_STOP, stage,
+                    return MutationOutcome(ABRUPT_STOP, state.stage,
                                            reason="multiplier term cancelled")
-        return MutationOutcome(DEPTH_EXHAUSTED, next_stage)
+        return MutationOutcome(DEPTH_EXHAUSTED, state.stage + 1)
 
     def explore_state(state: MutationState) -> MutationOutcome:
         if state.stage >= cfg.depth_limit:
@@ -402,9 +403,7 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
         if isinstance(frontier, MutationOutcome):
             return frontier
         if state.stage + 1 >= cfg.depth_limit:
-            return check_leaves(state.multipliers,
-                                [(term.coeff, term.mono, divs) for term, divs in frontier],
-                                state.stage, state.stage + 1, negate=True)
+            return check_leaves(state, frontier)
         return explore([len(divs) for _, divs in frontier],
                        lambda vector: mutation_step(state, choices=vector),
                        state.stage)
@@ -412,16 +411,10 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     options = _target_options(target, gens, target_gen_index)
     if isinstance(options, MutationOutcome):
         return options
-    if cfg.depth_limit == 0:
-        best = check_leaves(tuple({} for _ in gens),
-                            [(coeff, mono, divs) for (mono, coeff), divs
-                             in zip(target.terms(), options)],
-                            0, 0, negate=False)
-    else:
-        best = explore([len(divs) for divs in options],
-                       lambda vector: stage0_setup(target, gens, target_gen_index,
-                                                   choices=vector),
-                       0)
+    best = explore([len(divs) for divs in options],
+                   lambda vector: stage0_setup(target, gens, target_gen_index,
+                                               choices=vector),
+                   0)
     if best.terminated and not verify_certificate(best, target, gens):
         raise ConsistencyError("a rewriting certificate failed its exact re-check")
     return MutationOutcome(best.status, best.stage, best.reason, best.certificate,

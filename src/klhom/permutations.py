@@ -172,7 +172,9 @@ def dominates(a: RankMatrix, b: RankMatrix) -> bool:
     return all(x <= y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
 
 
-SUPPORTED_PATTERNS = (Permutation((3, 2, 1)), Permutation((1, 3, 2)))
+PATTERN_321 = Permutation((3, 2, 1))
+PATTERN_132 = Permutation((1, 3, 2))
+SUPPORTED_PATTERNS = (PATTERN_321, PATTERN_132)
 
 
 def avoids_pattern(p: Permutation, pattern: Permutation) -> bool:

@@ -184,8 +184,3 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({self})"
 
-
-def poly_texts(polys: Iterable[Polynomial]) -> list[str]:
-    """``str`` of each polynomial.  Most multipliers of a rewriting
-    certificate are zero, and this prints those as "0" without a call."""
-    return [str(p) if p._terms else "0" for p in polys]

@@ -24,16 +24,14 @@ def test_star_import():
     assert set(klhom.__all__) <= namespace.keys()
 
 
-def _traced_hooks() -> list[tuple[str, str, str]]:
-    """The (module, function, span name) of each hook in ``WRAPPED`` of
-    perfbench/spans.py, read from its source: the file is neither run nor
-    compiled to a cache beside it."""
+def _traced_hooks() -> list:
+    """The (module, function, span name, tally) hooks of perfbench/spans.py.
+    The file is compiled and run in memory, so no bytecode cache is written
+    beside it."""
     path = ROOT / "perfbench" / "spans.py"
-    for node in ast.parse(path.read_text(), filename=str(path)).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]:
-            return [tuple(ast.literal_eval(part) for part in hook.elts[:3])
-                    for hook in node.value.elts]
-    raise AssertionError("perfbench/spans.py defines no WRAPPED list")
+    namespace: dict = {"__name__": "perfbench_spans"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace["WRAPPED"]
 
 
 def test_traced_benchmark_hooks_resolve():
@@ -41,7 +39,7 @@ def test_traced_benchmark_hooks_resolve():
     # here would otherwise surface only as a crash of the traced benchmark
     hooks = _traced_hooks()
     assert len(hooks) > 20
-    for module_name, fn_name, _ in hooks:
+    for module_name, fn_name, _, _ in hooks:
         module = importlib.import_module(f"klhom.{module_name}")
         assert callable(getattr(module, fn_name, None)), f"klhom.{module_name}.{fn_name}"
 
@@ -59,12 +57,12 @@ def test_traced_benchmark_layers_get_calls(monkeypatch, tmp_path):
         return wrapper
 
     hooks = _traced_hooks()
-    for module_name, fn_name, span in hooks:
+    for module_name, fn_name, span, _ in hooks:
         module = importlib.import_module(f"klhom.{module_name}")
         monkeypatch.setattr(module, fn_name, counted(getattr(module, fn_name), span))
     out = tmp_path / "s4.jsonl"
     assert main(["sweep", "--n", "4", "--workers", "1", "--out", str(out)]) == 0
-    idle = {span for _, _, span in hooks if not calls[span]}
+    idle = {span for _, _, span, _ in hooks if not calls[span]}
     assert idle == {"minors.enumerate"}
 
 
