@@ -34,9 +34,10 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .errors import ConsistencyError
-# enumerate_defining_minors and is_longest_element are not called here, but the
-# traced benchmark (perfbench/spans.py) wraps them under this module's name, so
-# they stay imported
+# enumerate_defining_minors, is_longest_element and verify_certificate are not
+# called here (run_mutation re-checks its own certificates), but the traced
+# benchmark (perfbench/spans.py) wraps them under this module's name, so they
+# stay imported
 from .minors import (GeneratorSet, MinorSpec, defining_minor_count,
                      enumerate_defining_minors, pruned_defining_minors)
 from .mutation import MutationConfig, run_mutation, verify_certificate
@@ -289,9 +290,6 @@ def _core_verdict(v: Permutation, w: Permutation, z: ZMatrix, keep: list[MinorSp
             if not outcome.terminated:
                 reason = f"{outcome.status}@stage{outcome.stage}:{outcome.reason}"
                 return _plain(VerdictKind.UNDETERMINED, reason), len(inhom)
-            if not verify_certificate(outcome, comp, gen_polys):
-                raise ConsistencyError(
-                    f"rewriting certificate for ({v}, {w}) failed re-verification")
             certificates.append(ComponentCertificate(
                 m, mono_degree(comp.terms()[0][0]), outcome.certificate))
     return Verdict(VerdictKind.MUTATION_CERTIFIED_HOMOGENEOUS,
@@ -369,7 +367,8 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
     at a time as each row finishes, so an interrupted sweep leaves whole
     lines for the rows before it.  With ``resume`` the pairs already present
     in the output file are skipped, and only the newly classified records are
-    appended and returned, in order.
+    appended and returned, in order; a file holding a word outside S_n
+    raises ``ValueError`` before anything is classified or appended.
     """
     if n > MAX_SWEEP_N:
         raise ResourceWarning(f"sweep over S_{n} exceeds the limit {MAX_SWEEP_N}")
@@ -385,6 +384,11 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
         and _cut_to_last_newline(out_path) > 0
     done = finished_pairs(out_path, fmt) if append else set()
     perms = list(all_permutations(n))
+    words = {str(p) for p in perms}
+    stray = min((pair for pair in done if not words.issuperset(pair)), default=None)
+    if stray is not None:
+        raise ValueError(f"{out_path} holds the pair ({stray[0]}, {stray[1]}), "
+                         f"which is not in S_{n} x S_{n}")
     tasks = []
     for v in perms:
         ws = [w for w in perms if not done or (str(v), str(w)) not in done]

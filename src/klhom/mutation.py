@@ -13,8 +13,7 @@ cancel one of its existing terms.
 Divisor choices are genuine choice points: a greedy pick can fail where
 another succeeds, so the driver backtracks over them within a node budget.
 A node's frontier (the terms that survive cancellation, with the admissible
-divisors of each) is computed once per node, with one lookup of the
-generator table, and shared by all its children.
+divisors of each) is computed once per node and shared by all its children.
 Children at the depth limit are checked, not built.  The search reads none
 of such a child's terms: it ends the child as depth exhausted, unless the
 division that makes the child cancels a multiplier term, which stops it
@@ -23,15 +22,19 @@ cancellation against the parent's multipliers, and builds no cross terms,
 no ``StageTerm`` and no copied dict.  The leaves are visited in the same
 order and count against the branch budget as built nodes do.
 Below the nodes, each monomial's divisor scan and each division's quotient
-and cross terms run once per generator tuple: one table, kept for the latest
-tuple, serves every node and every run over it, so the components of one
-pair share it.
+and cross terms run once per generator tuple, in one table.  A run looks the
+table up once, as does each stage-0 setup, and every node holds it; the
+lookup keeps the latest tuple's table, so the components of one pair share
+it.
 Each multiplier is an unordered ``{monomial: coefficient}`` dict.  A step
 copies only the dicts it extends and shares the rest with its parent, so no
 node's multipliers change once it is built; the certificate's polynomials
 put their terms in canonical order.
-Termination is certified by the multipliers and re-checked exactly;
-everything else is reported as undetermined, never as a homogeneity claim.
+Termination is certified by the multipliers.  :func:`run_mutation` is the
+one place that re-checks a certificate, exactly and once, whether it comes
+from the search, a zero target or a trivial scaling; callers trust its
+outcome.  Everything else is reported as undetermined, never as a
+homogeneity claim.
 Each step keeps sum multipliers * gens = target + sum outstanding by
 construction and does not re-check it: a slip could only lose a certificate
 to that exact re-check, never yield a wrong verdict.
@@ -102,7 +105,7 @@ class MutationOutcome:
 @dataclass(frozen=True)
 class MutationState:
     target: Polynomial
-    gens: tuple[Polynomial, ...]
+    table: _GenTable  # the generator tuple's table; ``table.gens`` are the generators
     multipliers: tuple[dict[Mono, Coeff], ...]  # never mutated; a step copies what it extends
     outstanding: tuple[StageTerm, ...]
     stage: int
@@ -115,10 +118,9 @@ class MutationState:
         if not alive:
             return MutationOutcome(TERMINATED, self.stage,
                                    certificate=self.multiplier_polys())
-        table = _gen_table(self.gens)
         frontier = []
         for term in alive:
-            divs = table.admissible(term.mono, exclude_term=term.tail)
+            divs = self.table.admissible(term.mono, exclude_term=term.tail)
             if not divs:
                 return MutationOutcome(ABRUPT_STOP, self.stage,
                                        reason="a generated term has no admissible divisor")
@@ -182,13 +184,6 @@ def _gen_table(gens: tuple[Polynomial, ...]) -> _GenTable:
     return _GenTable(gens)
 
 
-def _divisors_for(mono: Mono, gens: tuple[Polynomial, ...],
-                  exclude_gen: int | None = None,
-                  exclude_term: tuple[int, Mono] | None = None) -> list[tuple[int, Mono, Coeff]]:
-    """Generator terms dividing the monomial, in canonical order."""
-    return _gen_table(gens).admissible(mono, exclude_gen, exclude_term)
-
-
 def _add_multiplier(multipliers, gi: int, mono: Mono, coeff: Coeff):
     """Extend one multiplier, copying only its dict; None signals a
     forbidden cancellation (``coeff`` is never zero)."""
@@ -243,13 +238,13 @@ def cancel_outstanding(outstanding: tuple[StageTerm, ...]) -> tuple[StageTerm, .
     return tuple(alive)
 
 
-def _target_options(target: Polynomial, gens: tuple[Polynomial, ...],
+def _target_options(target: Polynomial, table: _GenTable,
                     target_gen_index: int | None) -> MutationOutcome | list[list]:
     """The external divisors of each target term, or the outcome that ends
     stage 0 when some term has none."""
     options = []
     for mono, _ in target.terms():
-        divs = _divisors_for(mono, gens, exclude_gen=target_gen_index)
+        divs = table.admissible(mono, exclude_gen=target_gen_index)
         if not divs:
             return MutationOutcome(ABRUPT_STOP, 0,
                                    reason="no external divisor for a target term")
@@ -262,7 +257,7 @@ def _expand(state: MutationState, entries, choices: tuple[int, ...] | None,
     """Divide each ``(coeff, mono, divisors)`` entry by its chosen divisor
     (the first by default) and collect the cross terms as the next state."""
     picked = choices if choices is not None else itertools.repeat(0)
-    table = _gen_table(state.gens)
+    table = state.table
     multipliers = state.multipliers
     outstanding: list[StageTerm] = []
     for (coeff, mono, divs), idx in zip(entries, picked):
@@ -273,7 +268,7 @@ def _expand(state: MutationState, entries, choices: tuple[int, ...] | None,
                                    reason="multiplier term cancelled")
         multipliers, new_terms = spawned
         outstanding.extend(new_terms)
-    return MutationState(state.target, state.gens, multipliers, tuple(outstanding), next_stage)
+    return MutationState(state.target, table, multipliers, tuple(outstanding), next_stage)
 
 
 def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, ...],
@@ -284,16 +279,12 @@ def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     ``choices`` selects among the admissible divisors per target term (in
     canonical order); the default takes the first of each.
     """
-    gens = tuple(gens)
-    _gen_table(gens)  # raises ValueError unless every coefficient is ±1
-    state = MutationState(
-        target=target, gens=gens,
-        multipliers=tuple({} for _ in gens),
-        outstanding=(), stage=0,
-    )
-    options = _target_options(target, gens, target_gen_index)
+    table = _gen_table(tuple(gens))  # raises ValueError unless every coefficient is ±1
+    options = _target_options(target, table, target_gen_index)
     if isinstance(options, MutationOutcome):
         return options
+    state = MutationState(target, table, multipliers=tuple({} for _ in table.gens),
+                          outstanding=(), stage=0)
     return _expand(state, ((coeff, mono, divs) for (mono, coeff), divs
                            in zip(target.terms(), options)),
                    choices, next_stage=0, negate=False)
@@ -334,23 +325,16 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     """Backtracking driver; reports the strongest outcome found.
 
     Outcome strength: terminated > abrupt stop > depth exhausted.  A
-    certificate is only ever produced by termination and always re-verifies
-    sum g_j * f_j == target exactly.  Children at ``cfg.depth_limit`` are
-    checked for a cancelled multiplier term instead of built; the outcome,
-    and its count of visited nodes, are those of building them.
+    certificate is only ever produced by termination.  Every terminated
+    outcome, a zero target's and a trivial scaling's included, leaves through
+    one exact re-check of sum g_j * f_j == target, which raises
+    ``ConsistencyError`` naming the target if it fails; this is the only
+    check a certificate gets.  Children at ``cfg.depth_limit`` are checked
+    for a cancelled multiplier term instead of built; the outcome, and its
+    count of visited nodes, are those of building them.
     """
-    gens = tuple(gens)
-    _gen_table(gens)  # raises ValueError unless every coefficient is ±1
-    if target.is_zero:
-        return MutationOutcome(TERMINATED, 0,
-                               certificate=tuple(Polynomial.zero() for _ in gens))
-    trivial = _trivial_scaling(target, gens)
-    if trivial is not None:
-        j, c = trivial
-        cert = [Polynomial.zero() for _ in gens]
-        cert[j] = Polynomial.constant(c)
-        return MutationOutcome(TERMINATED, 0, certificate=tuple(cert))
-
+    table = _gen_table(tuple(gens))  # raises ValueError unless every coefficient is ±1
+    gens = table.gens
     nodes = [0]
     budget = cfg.branch_budget
 
@@ -408,17 +392,27 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
                        lambda vector: mutation_step(state, choices=vector),
                        state.stage)
 
-    options = _target_options(target, gens, target_gen_index)
-    if isinstance(options, MutationOutcome):
-        return options
-    best = explore([len(divs) for divs in options],
-                   lambda vector: stage0_setup(target, gens, target_gen_index,
-                                               choices=vector),
-                   0)
-    if best.terminated and not verify_certificate(best, target, gens):
-        raise ConsistencyError("a rewriting certificate failed its exact re-check")
-    return MutationOutcome(best.status, best.stage, best.reason, best.certificate,
-                           min(nodes[0], budget))
+    if target.is_zero:
+        outcome = MutationOutcome(TERMINATED, 0,
+                                  certificate=tuple(Polynomial.zero() for _ in gens))
+    elif (trivial := _trivial_scaling(target, gens)) is not None:
+        j, c = trivial
+        outcome = MutationOutcome(TERMINATED, 0, certificate=tuple(
+            Polynomial.constant(c) if i == j else Polynomial.zero() for i in range(len(gens))))
+    elif isinstance(options := _target_options(target, table, target_gen_index),
+                    MutationOutcome):
+        outcome = options
+    else:
+        best = explore([len(divs) for divs in options],
+                       lambda vector: stage0_setup(target, gens, target_gen_index,
+                                                   choices=vector),
+                       0)
+        outcome = MutationOutcome(best.status, best.stage, best.reason, best.certificate,
+                                  min(nodes[0], budget))
+    if outcome.terminated and not verify_certificate(outcome, target, gens):
+        raise ConsistencyError(
+            f"rewriting certificate for component {target} failed re-verification")
+    return outcome
 
 
 def verify_certificate(outcome: MutationOutcome, target: Polynomial,

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -187,9 +188,9 @@ def _avoids(p, pattern):
     return True
 
 
-# classify(1234, 2143) is certified by the rewriting search; each module
-# re-checks the certificate it hands on
-GUARDED_MODULES = ["klhom.classifier", "klhom.mutation"]
+# classify(1234, 2143) is certified by the rewriting search; run_mutation is
+# the one place that re-checks a certificate, and the classifier trusts it
+GUARDED_MODULES = ["klhom.mutation"]
 
 GUARD_SCRIPT = """
 import importlib, sys
@@ -231,6 +232,29 @@ class TestCertificateGuards:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split("\n") == [f"{m} raised" for m in GUARDED_MODULES] + \
             ["optimize 1", ""]
+
+    def test_each_certificate_is_checked_once(self, monkeypatch):
+        # over the S_4 census, verify_certificate runs once per terminated
+        # rewriting outcome, counted through both module bindings
+        checks: Counter = Counter()
+        terminated = [0]
+        for module in (klhom.classifier, klhom.mutation):
+            def counted(*args, _real=module.verify_certificate, _name=module.__name__):
+                checks[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, "verify_certificate", counted)
+
+        def running(*args, _real=klhom.mutation.run_mutation, **kwargs):
+            out = _real(*args, **kwargs)
+            terminated[0] += out.terminated
+            return out
+
+        monkeypatch.setattr(klhom.classifier, "run_mutation", running)
+        for v in all_permutations(4):
+            for w in all_permutations(4):
+                classify(v, w, NO_SHORTCUT)
+        assert terminated[0] > 0
+        assert checks == Counter({"klhom.mutation": terminated[0]})
 
 
 class TestScale:

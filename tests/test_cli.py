@@ -3,6 +3,7 @@ import json
 import pytest
 
 import klhom.classifier
+import klhom.mutation
 from klhom.cli import EXIT_MISMATCH, main
 
 
@@ -68,6 +69,23 @@ class TestSweep:
         assert code == 0
         assert out == f"0 pairs classified, 36 already in the file -> {out_file}\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_resume_on_a_file_from_another_n_is_invalid(self, capsys, monkeypatch, tmp_path,
+                                                         fmt):
+        # the words are checked before any pair is classified or appended
+        out_file = tmp_path / f"s2.{fmt}"
+        assert run(capsys, "sweep", "--n", "2", "--out", str(out_file))[0] == 0
+        held = out_file.read_bytes()
+
+        def no_classify(*args, **kwargs):
+            raise AssertionError("classify ran before the resume check")
+
+        monkeypatch.setattr(klhom.classifier, "classify", no_classify)
+        code, out, err = run(capsys, "sweep", "--n", "3", "--out", str(out_file), "--resume")
+        assert (code, out) == (2, "")
+        assert err == f"error: {out_file} holds the pair (12, 12), which is not in S_3 x S_3\n"
+        assert out_file.read_bytes() == held
+
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_nonpositive_workers_is_invalid(self, capsys, workers):
         code, _, err = run(capsys, "sweep", "--n", "2", "--workers", workers)
@@ -80,18 +98,19 @@ class TestSweep:
         assert "exceeds" in err
 
 
-# classify(1234, 2143) is certified by the rewriting search; with the
-# classifier's certificate re-check made to fail, each subcommand that
+# classify(1234, 2143) is certified by the rewriting search; with
+# run_mutation's certificate re-check made to fail, each subcommand that
 # classifies it reports a verification mismatch instead of a traceback
 MISMATCH_ARGV = [["classify", "--v", "1234", "--w", "2143"], ["sweep", "--n", "4"]]
 
 
 @pytest.mark.parametrize("argv", MISMATCH_ARGV, ids=["classify", "sweep"])
 def test_failed_recheck_is_a_mismatch(capsys, monkeypatch, argv):
-    monkeypatch.setattr(klhom.classifier, "verify_certificate", lambda *args: False)
+    monkeypatch.setattr(klhom.mutation, "verify_certificate", lambda *args: False)
     code, _, err = run(capsys, *argv)
     assert code == EXIT_MISMATCH
-    assert err.startswith("error: ") and "failed re-verification" in err
+    assert err.startswith("error: rewriting certificate for component ")
+    assert err.endswith(" failed re-verification\n")
 
 
 class TestShow:

@@ -66,6 +66,25 @@ def test_traced_benchmark_layers_get_calls(monkeypatch, tmp_path):
     assert idle == {"minors.enumerate"}
 
 
+def test_unused_classifier_imports_are_traced_hooks():
+    # classifier.py imports some names only so that perfbench/spans.py can
+    # wrap them there; any other unused import is dead, and a hook dropped
+    # from the benchmark takes its import with it
+    path = ROOT / "src" / "klhom" / "classifier.py"
+    imported, used = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    hooks = {fn_name for module_name, fn_name, _, _ in _traced_hooks()
+             if module_name == "classifier"}
+    unused = imported - used
+    assert unused <= hooks, sorted(unused - hooks)
+    assert unused == {"enumerate_defining_minors", "is_longest_element", "verify_certificate"}
+
+
 def _package_imports_of(top: str) -> tuple[list, list]:
     """The modules of src/klhom, and the file:line of each import of ``top``."""
     sources = sorted((ROOT / "src" / "klhom").glob("*.py"))

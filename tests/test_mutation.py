@@ -1,11 +1,12 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from klhom import classifier, mutation
+from klhom import ConsistencyError, classifier, mutation
 from klhom.classifier import ClassifierConfig, VerdictKind, classify, working_generators
 from klhom.mutation import (ABRUPT_STOP, DEPTH_EXHAUSTED, TERMINATED, MutationConfig,
                             MutationOutcome, MutationState, StageTerm, cancel_outstanding,
@@ -34,7 +35,7 @@ def assert_ledger(state):
     """The bookkeeping identity every state keeps by construction:
     sum multipliers * gens == target + sum outstanding, exactly."""
     total = Polynomial.zero()
-    for mult, gen in zip(state.multiplier_polys(), state.gens):
+    for mult, gen in zip(state.multiplier_polys(), state.table.gens):
         total = total + mult * gen
     rhs = state.target + Polynomial.from_terms((t.coeff, t.mono) for t in state.outstanding)
     assert total == rhs, "bookkeeping identity violated"
@@ -189,6 +190,16 @@ class TestRunMutation:
         assert out.terminated
         assert verify_certificate(out, Polynomial.zero(), HARNESS)
 
+    @pytest.mark.parametrize("target", [F1, Polynomial.zero()], ids=["trivial-scaling", "zero"])
+    def test_every_terminated_outcome_is_rechecked(self, monkeypatch, target):
+        # the outcomes that need no search leave through the same exact
+        # re-check as a searched certificate
+        assert run_mutation(target, HARNESS).terminated
+        monkeypatch.setattr(mutation, "verify_certificate", lambda *args: False)
+        with pytest.raises(ConsistencyError,
+                           match=f"component {re.escape(str(target))} failed re-verification"):
+            run_mutation(target, HARNESS)
+
     @pytest.mark.parametrize("entry", [run_mutation, stage0_setup])
     def test_non_unit_generator_coefficient_rejected(self, entry):
         # dividing by a generator coefficient is multiplying by it only for ±1
@@ -285,7 +296,8 @@ class TestCancelOutstanding:
 
 
 def brute_divisors(mono, gens, exclude_gen, exclude_term):
-    """Reference for _divisors_for: every generator term, tested one by one."""
+    """Reference for the table's admissible divisors: every generator term,
+    tested one by one."""
     return [(gi, gm, gc) for gi, g in enumerate(gens) if gi != exclude_gen
             for gm, gc in g.terms() if (gi, gm) != exclude_term and mono_divides(gm, mono)]
 
@@ -306,8 +318,14 @@ class TestGeneratorTable:
         gens = tuple(HARNESS[i] for i in order)
         if exclude_term is not None:
             exclude_term = (order.index(exclude_term[0]), exclude_term[1])
-        assert mutation._divisors_for(mono, gens, exclude_gen, exclude_term) \
+        assert mutation._gen_table(gens).admissible(mono, exclude_gen, exclude_term) \
             == brute_divisors(mono, gens, exclude_gen, exclude_term)
+
+    def test_every_node_holds_the_roots_table(self, certified_tree):
+        # the run looks the table up once; no node looks it up again
+        root = certified_tree[0][0].table
+        assert len(certified_tree) > 1
+        assert all(state.table is root for state, _, _ in certified_tree)
 
     def test_table_never_goes_stale(self):
         # runs over two generator tuples, alternating, then the first tuple
@@ -331,7 +349,7 @@ def search_nodes(target, gens, idx, limit):
     the multipliers it held before its children were spawned and its child
     states."""
     gens = tuple(gens)
-    options = mutation._target_options(target, gens, idx)
+    options = mutation._target_options(target, mutation._gen_table(gens), idx)
     queue = [stage0_setup(target, gens, idx, choices=vector)
              for vector in itertools.product(*(range(len(divs)) for divs in options))]
     nodes = []
@@ -383,7 +401,7 @@ def reference_search(target, gens, cfg, idx):
     instead of built: every child is built by stage0_setup or mutation_step.
     Returns the outcome and the number of children built."""
     gens = tuple(gens)
-    options = mutation._target_options(target, gens, idx)
+    options = mutation._target_options(target, mutation._gen_table(gens), idx)
     if mutation._trivial_scaling(target, gens) or isinstance(options, MutationOutcome):
         return run_mutation(target, gens, cfg, idx), 0  # no node is visited
     nodes, built = [0], [0]
