@@ -27,6 +27,7 @@ import hashlib
 import io
 import json
 import multiprocessing
+import re
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -364,11 +365,11 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
     """Classify every pair in S_n x S_n, in lexicographic word order.
 
     Writes CSV (fixed header) or JSONL when ``out`` is given, one row of v
-    at a time as each row finishes, so an interrupted sweep leaves whole
-    lines for the rows before it.  With ``resume`` the pairs already present
-    in the output file are skipped, and only the newly classified records are
-    appended and returned, in order; a file holding a word outside S_n
-    raises ``ValueError`` before anything is classified or appended.
+    at a time as each row finishes, so the file always holds the first pairs
+    of the sweep, and an interrupted write at most a partial last line.  With
+    ``resume`` the pairs the file holds (see :func:`held_pairs`) are skipped,
+    and only the newly classified records are appended and returned, in
+    order; a file that holds anything else raises ``ValueError`` first.
     """
     if n > MAX_SWEEP_N:
         raise ResourceWarning(f"sweep over S_{n} exceeds the limit {MAX_SWEEP_N}")
@@ -377,23 +378,14 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format: {fmt}")
     out_path = Path(out) if out is not None else None
-    # an interrupted write can leave a partial last line, which is cut off; a
-    # file with no whole line left (an empty one has no CSV header yet) is
-    # written afresh
-    append = resume and out_path is not None and out_path.exists() \
-        and _cut_to_last_newline(out_path) > 0
-    done = finished_pairs(out_path, fmt) if append else set()
+    # None (no file, or no whole line in it, not even a CSV header): write afresh
+    held = (held_pairs(out_path, n, fmt)
+            if resume and out_path is not None and out_path.exists() else None)
     perms = list(all_permutations(n))
-    words = {str(p) for p in perms}
-    stray = min((pair for pair in done if not words.issuperset(pair)), default=None)
-    if stray is not None:
-        raise ValueError(f"{out_path} holds the pair ({stray[0]}, {stray[1]}), "
-                         f"which is not in S_{n} x S_{n}")
-    tasks = []
-    for v in perms:
-        ws = [w for w in perms if not done or (str(v), str(w)) not in done]
-        if ws:
-            tasks.append((v, ws, cfg, fmt))
+    # the held pairs are whole rows of v, then the head of one more row
+    done_rows, done_cols = divmod(held or 0, len(perms))
+    tasks = [(v, perms[done_cols:] if i == 0 else perms, cfg, fmt)
+             for i, v in enumerate(perms[done_rows:])]
     records: list[dict] = []
     with contextlib.ExitStack() as stack:
         if workers > 1:
@@ -404,8 +396,8 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
         # opened after the fork, so that no worker inherits the file's buffer
         fh = None
         if out_path is not None:
-            fh = stack.enter_context(out_path.open("a" if append else "w"))
-            if fmt == "csv" and not append:
+            fh = stack.enter_context(out_path.open("w" if held is None else "a"))
+            if fmt == "csv" and held is None:
                 csv.writer(fh).writerow(CSV_HEADER)
         for row, text in rows:
             records += row
@@ -415,38 +407,40 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
     return records
 
 
-# the block size in which the end of an output file is searched for its last newline
-_TAIL_BLOCK = 1 << 16
+# the (v, w) words of a record line, digits only since n <= MAX_SWEEP_N; a
+# JSONL line is sorted by key, so its top-level "v" and "w" follow the detail
+_PAIR = {"csv": re.compile(r"\A(\d+),(\d+),"),
+         "jsonl": re.compile(r'"v": "(\d+)", "verdict": "\w+", "w": "(\d+)", "wall_ms": [^,]*}\Z')}
 
 
-def _cut_to_last_newline(path: Path) -> int:
-    """Truncate the file after its last newline; returns the size kept."""
+def held_pairs(path: Path, n: int, fmt: str) -> int | None:
+    """How many pairs an output file of the S_n x S_n sweep in ``fmt`` holds,
+    or None if it has no whole line.  The file is read forward once, and a
+    partial last line is cut off.  Its lines must be the CSV header, then the
+    first pairs of the sweep in word order; any other line raises
+    ``ValueError`` naming the file, line and pair, and leaves the file as is."""
+    words = [str(p) for p in all_permutations(n)]
+    head = int(fmt == "csv")  # the CSV header holds no pair
+    lineno = kept = 0
     with path.open("rb+") as fh:
-        end = fh.seek(0, io.SEEK_END)
-        keep = 0
-        while end > 0:
-            start = max(end - _TAIL_BLOCK, 0)
-            fh.seek(start)
-            found = fh.read(end - start).rfind(b"\n")
-            if found >= 0:
-                keep = start + found + 1
+        for raw in fh:
+            if not raw.endswith(b"\n"):
                 break
-            end = start
-        fh.truncate(keep)
-    return keep
-
-
-def finished_pairs(path: Path, fmt: str) -> set[tuple[str, str]]:
-    """The (v, w) words of the records in an output file.  A JSONL line is
-    sorted by key, so its top-level ``"v"`` is the last one in the line and
-    only the fields from there on are decoded, never the detail before them."""
-    if fmt == "csv":
-        with path.open(newline="") as fh:
-            return {(rec["v"], rec["w"]) for rec in csv.DictReader(fh)}
-    done = set()
-    with path.open() as fh:
-        for line in fh:
-            if line.strip():
-                tail = json.loads("{" + line[line.rfind('"v": '):])
-                done.add((tail["v"], tail["w"]))
-    return done
+            lineno += 1
+            line = raw.decode(errors="replace").rstrip("\r\n")
+            if lineno <= head:
+                if line != ",".join(CSV_HEADER):
+                    raise ValueError(f"{path} line 1 is not the CSV header")
+            else:
+                row, col = divmod(lineno - head - 1, len(words))
+                want = (words[row], words[col]) if row < len(words) else None
+                match = _PAIR[fmt].search(line)
+                if match is None or match.groups() != want:
+                    got = ("the pair ({}, {})".format(*match.groups()) if match
+                           else f"no {fmt} record")
+                    where = "the pair ({}, {})".format(*want) if want else "no more pairs"
+                    raise ValueError(f"{path} line {lineno} holds {got} where the "
+                                     f"S_{n} x S_{n} sweep has {where}")
+            kept += len(raw)
+        fh.truncate(kept)
+    return lineno - head if lineno else None

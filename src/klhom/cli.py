@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .classifier import ClassifierConfig, classify, finished_pairs, sweep
+from .classifier import ClassifierConfig, classify, held_pairs, sweep
 from .errors import ConsistencyError
 from .minors import pruned_defining_minors, relevant_rows_for_column, si_sequence_raw
 from .mutation import MutationConfig
@@ -81,7 +81,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     held = ""
     if args.resume and args.out:
         # sweep returns only the new records; the file holds the earlier ones too
-        held = f", {len(finished_pairs(Path(args.out), fmt)) - total} already in the file"
+        held = f", {held_pairs(Path(args.out), args.n, fmt) - total} already in the file"
     print(f"{total} pairs classified{held}" + (f" -> {args.out}" if args.out else ""))
     for verdict in sorted(counts):
         print(f"  {verdict}: {counts[verdict]}")
@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="defaults to the --out extension, else csv")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--resume", action="store_true",
-                   help="skip pairs already present in the output file")
+                   help="skip the first pairs of the sweep that the output file holds "
+                        "and append the rest; a file holding anything else is invalid")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("show", help="print the matrices and pruned generators")

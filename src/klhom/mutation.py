@@ -62,16 +62,17 @@ DEPTH_EXHAUSTED = "depth_exhausted"
 _STRENGTH = {TERMINATED: 2, ABRUPT_STOP: 1, DEPTH_EXHAUSTED: 0}
 
 
+# the choice vectors one run may visit, built as nodes or checked as leaves
+BRANCH_BUDGET = 256
+
+
 @dataclass(frozen=True)
 class MutationConfig:
     depth_limit: int = 8
-    branch_budget: int = 256
 
     def __post_init__(self) -> None:
         if self.depth_limit < 0:
             raise ValueError(f"mutation depth must be >= 0, got {self.depth_limit}")
-        if self.branch_budget < 1:
-            raise ValueError(f"branch budget must be >= 1, got {self.branch_budget}")
 
 
 @dataclass(frozen=True)
@@ -336,7 +337,7 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     table = _gen_table(tuple(gens))  # raises ValueError unless every coefficient is ±1
     gens = table.gens
     nodes = [0]
-    budget = cfg.branch_budget
+    budget = BRANCH_BUDGET
 
     def explore(counts: list[int], child, stage: int) -> MutationOutcome:
         """Try every choice vector over ``counts`` in order, within the budget."""

@@ -158,10 +158,11 @@ class TestClassify:
         for (v, w), report in s4_reports_no_shortcut.items():
             assert (report.verdict.kind is VerdictKind.EMPTY_IDEAL) == (w == w0)
 
-    def test_witnessed_pairs_resist_deep_mutation(self, s3_reports_no_shortcut):
+    def test_witnessed_pairs_resist_deep_mutation(self, monkeypatch, s3_reports_no_shortcut):
         # a verified witness proves some component is not an ideal member, so
         # no depth of rewriting may certify every component
         from klhom.mutation import MutationConfig, run_mutation
+        monkeypatch.setattr(klhom.mutation, "BRANCH_BUDGET", 2048)
         for (v, w), report in s3_reports_no_shortcut.items():
             if report.verdict.kind is not VerdictKind.INHOMOGENEOUS:
                 continue
@@ -173,7 +174,7 @@ class TestClassify:
                     continue
                 for comp in homogeneous_components(det):
                     outcome = run_mutation(comp, gen_polys,
-                                           MutationConfig(depth_limit=12, branch_budget=2048),
+                                           MutationConfig(depth_limit=12),
                                            target_gen_index=i)
                     all_terminate &= outcome.terminated
             assert not all_terminate
@@ -354,12 +355,14 @@ class TestSweep:
         key = lambda recs: sorted((r["v"], r["w"], r["verdict"], r["digest"]) for r in recs)
         assert key(final) == key(fresh)
 
-    @pytest.mark.parametrize("head", [b"", b"a,b\r\n"], ids=["no-newline", "one-line"])
-    def test_cut_searches_back_past_one_block(self, tmp_path, head):
-        # the last newline lies more than one search block before the end
-        path = tmp_path / "long"
-        path.write_bytes(head + b"x" * (2 * klhom.classifier._TAIL_BLOCK + 3))
-        assert klhom.classifier._cut_to_last_newline(path) == len(head)
+    @pytest.mark.parametrize("head, held",
+                             [(b"", None), (",".join(CSV_HEADER).encode() + b"\r\n", 0)],
+                             ids=["no-newline", "one-line"])
+    def test_partial_last_line_past_64_kib_is_cut(self, tmp_path, head, held):
+        # the partial last line is longer than any fixed-size read block
+        path = tmp_path / "long.csv"
+        path.write_bytes(head + b"x" * (2 * 65536 + 3))
+        assert klhom.classifier.held_pairs(path, 3, "csv") == held
         assert path.read_bytes() == head
 
     def test_jsonl_bytes_and_digests(self, tmp_path):

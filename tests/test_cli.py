@@ -83,7 +83,42 @@ class TestSweep:
         monkeypatch.setattr(klhom.classifier, "classify", no_classify)
         code, out, err = run(capsys, "sweep", "--n", "3", "--out", str(out_file), "--resume")
         assert (code, out) == (2, "")
-        assert err == f"error: {out_file} holds the pair (12, 12), which is not in S_3 x S_3\n"
+        line = 2 if fmt == "csv" else 1
+        assert err == (f"error: {out_file} line {line} holds the pair (12, 12) "
+                       f"where the S_3 x S_3 sweep has the pair (123, 123)\n")
+        assert out_file.read_bytes() == held
+
+    @pytest.mark.parametrize("written, fmt, edit, line", [
+        ("jsonl", "csv", None, 1),
+        ("csv", "jsonl", None, 1),
+        ("csv", "csv", "drop-middle", 11),
+        ("jsonl", "jsonl", "drop-middle", 11),
+        ("jsonl", "jsonl", "twice", 37),
+    ], ids=["jsonl-as-csv", "csv-as-jsonl", "csv-line-dropped", "jsonl-line-dropped",
+            "jsonl-sweep-twice"])
+    def test_resume_on_an_invalid_file_appends_nothing(self, capsys, monkeypatch, tmp_path,
+                                                       written, fmt, edit, line):
+        # a file in the other format, or one that is not the first pairs of
+        # the sweep in order, is invalid input, reported by file and line
+        out_file = tmp_path / f"s3.{written}"
+        assert run(capsys, "sweep", "--n", "3", "--out", str(out_file))[0] == 0
+        lines = out_file.read_bytes().splitlines(keepends=True)
+        if edit == "drop-middle":
+            del lines[10]
+        elif edit == "twice":
+            lines += lines
+        held = b"".join(lines)
+        out_file.write_bytes(held)
+
+        def no_classify(*args, **kwargs):
+            raise AssertionError("classify ran on an invalid file")
+
+        monkeypatch.setattr(klhom.classifier, "classify", no_classify)
+        code, out, err = run(capsys, "sweep", "--n", "3", "--out", str(out_file),
+                             "--format", fmt, "--resume")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {out_file} line {line} ")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert out_file.read_bytes() == held
 
     @pytest.mark.parametrize("workers", ["0", "-4"])

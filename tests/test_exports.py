@@ -66,6 +66,21 @@ def test_traced_benchmark_layers_get_calls(monkeypatch, tmp_path):
     assert idle == {"minors.enumerate"}
 
 
+def test_table_scripts_imports_resolve():
+    # perfbench/make_golden.py and make_reference.py regenerate the golden
+    # and reference tables; a rename here would otherwise surface only then
+    names = []
+    for script in ("make_golden.py", "make_reference.py"):
+        path = ROOT / "perfbench" / script
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "klhom":
+                names += [(script, node.module, alias.name) for alias in node.names]
+    assert {script for script, _, _ in names} == {"make_golden.py", "make_reference.py"}
+    missing = [f"{script}: {module}.{name}" for script, module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing
+
+
 def test_unused_classifier_imports_are_traced_hooks():
     # classifier.py imports some names only so that perfbench/spans.py can
     # wrap them there; any other unused import is dead, and a hook dropped

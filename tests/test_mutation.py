@@ -145,7 +145,7 @@ class TestStep:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("kwargs", [{"depth_limit": -1}, {"branch_budget": 0}])
+    @pytest.mark.parametrize("kwargs", [{"depth_limit": -1}])
     def test_rejects_out_of_range_bounds(self, kwargs):
         with pytest.raises(ValueError):
             MutationConfig(**kwargs)
@@ -175,13 +175,13 @@ class TestRunMutation:
         assert out.terminated
         assert verify_certificate(out, target, gens)
 
-    def test_unreachable_target_exhausts_depth(self):
+    def test_unreachable_target_exhausts_depth(self, monkeypatch):
         # x1 is not in <x1-x2, x2-x3, x3-x1>; rewriting cycles forever
         gens = (poly((1, "x1"), (-1, "x2")),
                 poly((1, "x2"), (-1, "x3")),
                 poly((1, "x3"), (-1, "x1")))
-        out = run_mutation(poly((1, "x1")), gens,
-                           MutationConfig(depth_limit=5, branch_budget=64))
+        monkeypatch.setattr(mutation, "BRANCH_BUDGET", 64)
+        out = run_mutation(poly((1, "x1")), gens, MutationConfig(depth_limit=5))
         assert not out.terminated
         assert out.status in (DEPTH_EXHAUSTED, ABRUPT_STOP)
 
@@ -410,7 +410,7 @@ def reference_search(target, gens, cfg, idx):
         best = None
         for vector in itertools.product(*(range(c) for c in counts)):
             nodes[0] += 1
-            if nodes[0] > cfg.branch_budget:
+            if nodes[0] > mutation.BRANCH_BUDGET:
                 break
             built[0] += 1
             nxt = child(vector)
@@ -452,10 +452,11 @@ class TestLeafCheck:
     """Children at the depth limit are checked for a cancelled multiplier
     term, not built; the search must end and count as if it built them."""
 
-    def test_matches_building_every_child(self, leaf_check_runs):
+    def test_matches_building_every_child(self, monkeypatch, leaf_check_runs):
         leaf_abort_depths, budget_spent = set(), 0
         for depth, budget in itertools.product(range(9), (1, 7, 256)):
-            cfg = MutationConfig(depth_limit=depth, branch_budget=budget)
+            cfg = MutationConfig(depth_limit=depth)
+            monkeypatch.setattr(mutation, "BRANCH_BUDGET", budget)
             for target, gens, idx in leaf_check_runs:
                 out = run_mutation(target, gens, cfg, target_gen_index=idx)
                 ref, built = reference_search(target, gens, cfg, idx)
