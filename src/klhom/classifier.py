@@ -29,6 +29,7 @@ import json
 import multiprocessing
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -173,36 +174,26 @@ class ClassificationReport:
     wall_ms: float
 
     def to_record(self) -> dict:
-        return self.record_line()[0]
-
-    def record_line(self) -> tuple[dict, str]:
-        """:meth:`to_record` and its JSONL line, the text of
-        ``json.dumps(record, sort_keys=True)``.  The line holds the detail's
-        one encoding, which the digest hashes too; the record holds its own
-        copy of the detail."""
+        """The report as a dict; its detail is a copy of the verdict's."""
         detail, _, digest = self.verdict.encoded
+        return {"v": str(self.v), "w": str(self.w), "verdict": detail["kind"],
+                "reason": self.verdict.reason, "digest": digest,
+                "gens_before": self.gens_before, "gens_after": self.gens_after,
+                "n_singular": self.n_singular, "n_inhomogeneous": self.n_inhomogeneous,
+                "wall_ms": round(self.wall_ms, 3), "detail": dict(detail)}
+
+    def line(self) -> str:
+        """The JSONL line of :meth:`to_record`, the text of
+        ``json.dumps(record, sort_keys=True)``, filled in from the verdict's
+        cached pieces: no record is built and the detail is not copied."""
         head, reason, kind = self.verdict._line_parts
-        v, w, wall_ms = str(self.v), str(self.w), round(self.wall_ms, 3)
-        record = {
-            "v": v, "w": w,
-            "verdict": detail["kind"],
-            "reason": self.verdict.reason,
-            "digest": digest,
-            "gens_before": self.gens_before,
-            "gens_after": self.gens_after,
-            "n_singular": self.n_singular,
-            "n_inhomogeneous": self.n_inhomogeneous,
-            "wall_ms": wall_ms,
-            "detail": dict(detail),
-        }
         # the fields in sorted key order, as json.dumps writes them; filled in
         # directly, since JSONEncoder.encode sets up an encoder on every call.
         # A word holds only digits and commas, which JSON writes as they are.
-        line = (f'{head}{self.gens_after}, "gens_before": {self.gens_before}, '
+        return (f'{head}{self.gens_after}, "gens_before": {self.gens_before}, '
                 f'"n_inhomogeneous": {self.n_inhomogeneous}, "n_singular": {self.n_singular}, '
-                f'"reason": {reason}, "v": "{v}", "verdict": {kind}, "w": "{w}", '
-                f'"wall_ms": {wall_ms!r}}}')
-        return record, line
+                f'"reason": {reason}, "v": "{self.v}", "verdict": {kind}, "w": "{self.w}", '
+                f'"wall_ms": {round(self.wall_ms, 3)!r}}}')
 
 
 def working_generators(v: Permutation, w: Permutation) -> tuple[ZMatrix, GeneratorSet, list[MinorSpec]]:
@@ -343,33 +334,37 @@ MAX_SWEEP_N = 6
 
 
 def _classify_row(task: tuple[Permutation, list[Permutation], ClassifierConfig, str]
-                  ) -> tuple[list[dict], str]:
-    """Classify v against each w of a row: the records, in order, and their
-    output lines in ``fmt``."""
+                  ) -> tuple[dict[str, int], str]:
+    """Classify v against each w of a row: the row's verdict counts (kind ->
+    count) and its output lines in ``fmt``, all that a pool worker sends back."""
     v, ws, cfg, fmt = task
-    records = []
+    counts: dict[str, int] = {}
     buf = io.StringIO()
     writer = csv.writer(buf)
     for w in ws:
-        record, line = classify(v, w, cfg).record_line()
-        records.append(record)
+        r = classify(v, w, cfg)
+        kind = r.verdict.kind.value
+        counts[kind] = counts.get(kind, 0) + 1
         if fmt == "jsonl":
-            buf.write(line + "\n")
-        else:
-            writer.writerow([record[k] for k in CSV_HEADER])
-    return records, buf.getvalue()
+            buf.write(r.line() + "\n")
+        else:  # the CSV_HEADER columns
+            writer.writerow([str(v), str(w), kind, r.verdict.digest(), r.gens_before,
+                             r.gens_after, round(r.wall_ms, 3)])
+    return counts, buf.getvalue()
 
 
 def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | None = None,
-          fmt: str = "csv", workers: int = 1, resume: bool = False) -> list[dict]:
-    """Classify every pair in S_n x S_n, in lexicographic word order.
+          fmt: str = "csv", workers: int = 1, resume: bool = False) -> Counter[str]:
+    """Classify every pair in S_n x S_n, in lexicographic word order, and
+    return the census of the pairs classified: verdict kind -> count.
 
     Writes CSV (fixed header) or JSONL when ``out`` is given, one row of v
     at a time as each row finishes, so the file always holds the first pairs
-    of the sweep, and an interrupted write at most a partial last line.  With
-    ``resume`` the pairs the file holds (see :func:`held_pairs`) are skipped,
-    and only the newly classified records are appended and returned, in
-    order; a file that holds anything else raises ``ValueError`` first.
+    of the sweep, and an interrupted write at most a partial last line.  No
+    record is kept: the file is the only per-pair output.  With ``resume``
+    the pairs the file holds (see :func:`held_pairs`) are skipped, and only
+    the newly classified pairs are appended and counted; a file that holds
+    anything else raises ``ValueError`` first.
     """
     if n > MAX_SWEEP_N:
         raise ResourceWarning(f"sweep over S_{n} exceeds the limit {MAX_SWEEP_N}")
@@ -386,7 +381,7 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
     done_rows, done_cols = divmod(held or 0, len(perms))
     tasks = [(v, perms[done_cols:] if i == 0 else perms, cfg, fmt)
              for i, v in enumerate(perms[done_rows:])]
-    records: list[dict] = []
+    census: Counter[str] = Counter()
     with contextlib.ExitStack() as stack:
         if workers > 1:
             # imap, not imap_unordered: the rows are written in word order
@@ -399,12 +394,12 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
             fh = stack.enter_context(out_path.open("w" if held is None else "a"))
             if fmt == "csv" and held is None:
                 csv.writer(fh).writerow(CSV_HEADER)
-        for row, text in rows:
-            records += row
+        for counts, text in rows:
+            census.update(counts)
             if fh is not None:
                 fh.write(text)
                 fh.flush()
-    return records
+    return census
 
 
 # the (v, w) words of a record line, digits only since n <= MAX_SWEEP_N; a

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
-from pathlib import Path
 
-from .classifier import ClassifierConfig, classify, held_pairs, sweep
+from .classifier import ClassifierConfig, classify, sweep
 from .errors import ConsistencyError
 from .minors import pruned_defining_minors, relevant_rows_for_column, si_sequence_raw
 from .mutation import MutationConfig
@@ -69,22 +70,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if fmt is None:
         fmt = "jsonl" if (args.out or "").endswith(".jsonl") else "csv"
     try:
-        records = sweep(args.n, _config(args), out=args.out, fmt=fmt,
-                        workers=args.workers, resume=args.resume)
+        census = sweep(args.n, _config(args), out=args.out, fmt=fmt,
+                       workers=args.workers, resume=args.resume)
     except ResourceWarning as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    counts: dict[str, int] = {}
-    for rec in records:
-        counts[rec["verdict"]] = counts.get(rec["verdict"], 0) + 1
-    total = sum(counts.values())
+    total = sum(census.values())
     held = ""
     if args.resume and args.out:
-        # sweep returns only the new records; the file holds the earlier ones too
-        held = f", {held_pairs(Path(args.out), args.n, fmt) - total} already in the file"
-    print(f"{total} pairs classified{held}" + (f" -> {args.out}" if args.out else ""))
-    for verdict in sorted(counts):
-        print(f"  {verdict}: {counts[verdict]}")
+        # sweep counts only the new pairs; the file now holds every pair
+        held = f", {math.factorial(args.n) ** 2 - total} already in the file"
+    try:
+        print(f"{total} pairs classified{held}" + (f" -> {args.out}" if args.out else ""))
+        for verdict in sorted(census):
+            print(f"  {verdict}: {census[verdict]}")
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the reader left early (klhom sweep ... | head) and the file is whole;
+        # Python flushes stdout at exit too ("Note on SIGPIPE", signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

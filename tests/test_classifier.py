@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
 import pytest
@@ -293,15 +294,18 @@ def blank_wall_ms(text, fmt):
 
 class TestSweep:
     def test_n2_has_four_rows(self, tmp_path):
-        records = sweep(2, out=tmp_path / "r.csv")
-        assert len(records) == 4
+        census = sweep(2, out=tmp_path / "r.csv")
+        assert sum(census.values()) == 4
+        assert len(read_output(tmp_path / "r.csv", "csv")) == 4
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 5
 
-    def test_deterministic_records(self):
-        a = sweep(3, NO_SHORTCUT)
-        b = sweep(3, NO_SHORTCUT)
+    def test_deterministic_records(self, tmp_path):
+        for name in ("a", "b"):
+            sweep(3, NO_SHORTCUT, out=tmp_path / f"{name}.jsonl", fmt="jsonl")
+        a, b = (read_output(tmp_path / f"{name}.jsonl", "jsonl") for name in ("a", "b"))
+        assert len(a) == 36
         strip = lambda recs: [{k: v for k, v in r.items() if k != "wall_ms"}
                               for r in recs]
         # wall time is the only nondeterministic field, and digests pin the
@@ -311,12 +315,12 @@ class TestSweep:
     def test_jsonl_roundtrip_and_resume(self, tmp_path):
         import json
         out = tmp_path / "r.jsonl"
-        first = sweep(2, out=out, fmt="jsonl")
+        sweep(2, out=out, fmt="jsonl")
         # truncate to simulate an interrupted run, then resume
         lines = out.read_text().splitlines()
         out.write_text("\n".join(lines[:2]) + "\n")
         resumed = sweep(2, out=out, fmt="jsonl", resume=True)
-        assert len(resumed) == 2
+        assert sum(resumed.values()) == 2
         final = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(final) == 4
         assert {(r["v"], r["w"]) for r in final} == \
@@ -326,13 +330,9 @@ class TestSweep:
     def test_resume_into_empty_file(self, tmp_path, fmt):
         out = tmp_path / f"e.{fmt}"
         out.touch()
-        assert len(sweep(2, out=out, fmt=fmt, resume=True)) == 4
-        assert sweep(2, out=out, fmt=fmt, resume=True) == []
-        with out.open(newline="") as fh:
-            if fmt == "csv":
-                final = list(csv.DictReader(fh))
-            else:
-                final = [json.loads(line) for line in fh]
+        assert sum(sweep(2, out=out, fmt=fmt, resume=True).values()) == 4
+        assert sweep(2, out=out, fmt=fmt, resume=True) == {}
+        final = read_output(out, fmt)
         assert sorted((r["v"], r["w"]) for r in final) == \
             sorted((str(v), str(w)) for v in all_permutations(2) for w in all_permutations(2))
 
@@ -342,16 +342,13 @@ class TestSweep:
         # an interrupted write leaves a partial last line: 5 bytes into the
         # line after the first ``whole_lines`` lines
         out = tmp_path / f"t.{fmt}"
-        fresh = sweep(3, out=out, fmt=fmt)
+        sweep(3, out=out, fmt=fmt)
+        fresh = read_output(out, fmt)
         text = out.read_bytes()
         ends = [i + 1 for i, byte in enumerate(text) if byte == ord("\n")]
         out.write_bytes(text[:(ends[whole_lines - 1] if whole_lines else 0) + 5])
         sweep(3, out=out, fmt=fmt, resume=True)
-        with out.open(newline="") as fh:
-            if fmt == "csv":
-                final = list(csv.DictReader(fh))
-            else:
-                final = [json.loads(line) for line in fh]
+        final = read_output(out, fmt)
         key = lambda recs: sorted((r["v"], r["w"], r["verdict"], r["digest"]) for r in recs)
         assert key(final) == key(fresh)
 
@@ -366,12 +363,18 @@ class TestSweep:
         assert path.read_bytes() == head
 
     def test_jsonl_bytes_and_digests(self, tmp_path):
-        # the file holds json.dumps(record, sort_keys=True) per line, and each
-        # digest is the sha256 of the sorted JSON of the record's detail
+        # the file holds json.dumps(record, sort_keys=True) per line, each
+        # record is the pair's to_record() but for wall_ms, and each digest is
+        # the sha256 of the sorted JSON of the record's detail
         out = tmp_path / "s3.jsonl"
-        records = sweep(3, NO_SHORTCUT, out=out, fmt="jsonl")
+        sweep(3, NO_SHORTCUT, out=out, fmt="jsonl")
+        records = read_output(out, "jsonl")
         expected = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
         assert out.read_bytes() == expected.encode()
+        strip = lambda rec: {k: x for k, x in rec.items() if k != "wall_ms"}
+        assert [strip(r) for r in records] == \
+            [strip(classify(v, w, NO_SHORTCUT).to_record())
+             for v in all_permutations(3) for w in all_permutations(3)]
         for r in records:
             blob = json.dumps(r["detail"], sort_keys=True).encode()
             assert r["digest"] == hashlib.sha256(blob).hexdigest()[:12]
@@ -380,17 +383,16 @@ class TestSweep:
     @pytest.mark.parametrize("pattern_shortcut", [True, False])
     @pytest.mark.parametrize("depth", [2, 8])
     def test_record_lines_and_details(self, pattern_shortcut, depth):
-        # every pair of S_3 and S_4: each line is the sorted JSON of its
-        # record, and each record holds its own detail dict, although the
-        # reports of one plain verdict share that verdict and its encoding
+        # every pair of S_3 and S_4: each line() is the sorted JSON of its
+        # to_record(), and each record holds its own detail dict, although
+        # the reports of one plain verdict share that verdict and its encoding
         cfg = ClassifierConfig(pattern_shortcut, MutationConfig(depth_limit=depth))
         reports = [classify(v, w, cfg) for n in (3, 4)
                    for v in all_permutations(n) for w in all_permutations(n)]
         records = []
         for report in reports:
-            record, line = report.record_line()
-            assert line == json.dumps(report.to_record(), sort_keys=True)
-            assert line == json.dumps(record, sort_keys=True)
+            record = report.to_record()
+            assert report.line() == json.dumps(record, sort_keys=True)
             records.append(record)
         assert len({id(r["detail"]) for r in records}) == len(records)
         assert len({id(r.verdict) for r in reports}) < len(reports)
@@ -443,10 +445,32 @@ class TestSweep:
         assert [(r["v"], r["w"]) for r in read_output(out, fmt)] == \
             [(str(v), str(w)) for v in perms[:2] for w in perms]
         resumed = sweep(3, NO_SHORTCUT, out=out, fmt=fmt, workers=1, resume=True)
-        assert len(resumed) == 4 * len(perms)
-        fresh = sweep(3, NO_SHORTCUT, out=tmp_path / f"f.{fmt}", fmt=fmt)
+        assert sum(resumed.values()) == 4 * len(perms)
+        sweep(3, NO_SHORTCUT, out=tmp_path / f"f.{fmt}", fmt=fmt)
         key = lambda recs: [(r["v"], r["w"], r["verdict"], r["digest"]) for r in recs]
-        assert key(read_output(out, fmt)) == key(fresh)
+        assert key(read_output(out, fmt)) == key(read_output(tmp_path / f"f.{fmt}", fmt))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_census_counts_the_file(self, tmp_path, fmt, workers):
+        # the returned census is the file's verdict counts, and a resume
+        # counts only the pairs it appends
+        out = tmp_path / f"s4.{fmt}"
+        census = sweep(4, NO_SHORTCUT, out=out, fmt=fmt, workers=workers)
+        assert census == Counter(r["verdict"] for r in read_output(out, fmt))
+        assert sum(census.values()) == 576
+        assert sweep(4, NO_SHORTCUT, out=out, fmt=fmt, workers=workers, resume=True) == {}
+
+    def test_pool_result_is_the_row_text(self):
+        # a pool worker sends back a row's text and its verdict counts, and
+        # nothing per pair besides: no record, no detail
+        perms = list(all_permutations(4))
+        for fmt in ("csv", "jsonl"):
+            for v in perms:
+                counts, text = result = klhom.classifier._classify_row(
+                    (v, perms, NO_SHORTCUT, fmt))
+                assert sum(counts.values()) == len(perms)
+                assert len(ForkingPickler.dumps(result)) <= len(text) + 256
 
     def test_resource_limit(self):
         with pytest.raises(ResourceWarning):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import klhom.classifier
+import klhom.cli
 import klhom.mutation
 from klhom.cli import EXIT_MISMATCH, main
 
@@ -68,6 +73,47 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--n", "3", "--out", out_file, "--resume")
         assert code == 0
         assert out == f"0 pairs classified, 36 already in the file -> {out_file}\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_resume_reads_the_file_once(self, capsys, monkeypatch, tmp_path, fmt):
+        # the summary's "already in the file" count comes from the census,
+        # not from reading the finished file a second time
+        out_file = tmp_path / f"r3.{fmt}"
+        assert run(capsys, "sweep", "--n", "3", "--out", str(out_file))[0] == 0
+        lines = out_file.read_bytes().splitlines(keepends=True)
+        held = b"".join(lines[:-10])
+        out_file.write_bytes(held)
+        calls = []
+        real_held_pairs = klhom.classifier.held_pairs
+
+        def counted(*args):
+            calls.append(args)
+            return real_held_pairs(*args)
+
+        # counted through any module that binds it, not only the one sweep calls
+        monkeypatch.setattr(klhom.classifier, "held_pairs", counted)
+        monkeypatch.setattr(klhom.cli, "held_pairs", counted, raising=False)
+        code, out, _ = run(capsys, "sweep", "--n", "3", "--out", str(out_file), "--resume")
+        assert code == 0
+        assert out.startswith(f"10 pairs classified, 26 already in the file -> {out_file}\n")
+        assert len(calls) == 1
+        text = out_file.read_bytes()
+        assert text.startswith(held) and text.count(b"\n") == len(lines)
+
+    def test_closed_stdout_exits_cleanly(self, tmp_path):
+        # the reader of stdout is gone before the summary is printed
+        # (klhom sweep ... | head -c 0): no traceback, exit 0, a whole file
+        out_file = tmp_path / "s3.csv"
+        src = str(Path(klhom.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-m", "klhom.cli", "sweep", "--n", "3",
+                                 "--out", str(out_file)],
+                                env={**os.environ, "PYTHONPATH": src},
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (0, b"")
+        assert len(out_file.read_bytes().splitlines()) == 1 + 36
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_resume_on_a_file_from_another_n_is_invalid(self, capsys, monkeypatch, tmp_path,
