@@ -123,25 +123,24 @@ class Verdict:
         return rec
 
     @cached_property
-    def encoded(self) -> tuple[dict, str, str]:
-        """:meth:`to_record`, its sorted JSON text and its digest, encoded
-        once per verdict.  The record is shared: copy it before handing it on."""
-        record = self.to_record()
-        text = _encode(record)
-        return record, text, _hash(text)
+    def encoded(self) -> tuple[str, str]:
+        """The sorted JSON text of :meth:`to_record` and its digest, encoded
+        once per verdict."""
+        text = _encode(self.to_record())
+        return text, _hash(text)
 
     @cached_property
     def _line_parts(self) -> tuple[str, str, str]:
         """The JSONL line's pieces that only the verdict fixes: the line up
         to the value of ``gens_after``, and the JSON text of the reason and
         of the kind."""
-        _, text, digest = self.encoded
+        text, digest = self.encoded
         return (f'{{"detail": {text}, "digest": {_json_str(digest)}, "gens_after": ',
                 _json_str(self.reason), _json_str(self.kind.value))
 
     def digest(self) -> str:
         """The digest of :meth:`to_record`."""
-        return self.encoded[2]
+        return self.encoded[1]
 
 
 @lru_cache(maxsize=None)
@@ -174,18 +173,13 @@ class ClassificationReport:
     wall_ms: float
 
     def to_record(self) -> dict:
-        """The report as a dict; its detail is a copy of the verdict's."""
-        detail, _, digest = self.verdict.encoded
-        return {"v": str(self.v), "w": str(self.w), "verdict": detail["kind"],
-                "reason": self.verdict.reason, "digest": digest,
-                "gens_before": self.gens_before, "gens_after": self.gens_after,
-                "n_singular": self.n_singular, "n_inhomogeneous": self.n_inhomogeneous,
-                "wall_ms": round(self.wall_ms, 3), "detail": dict(detail)}
+        """The report as a dict: its :meth:`line` parsed back."""
+        return json.loads(self.line())
 
     def line(self) -> str:
-        """The JSONL line of :meth:`to_record`, the text of
-        ``json.dumps(record, sort_keys=True)``, filled in from the verdict's
-        cached pieces: no record is built and the detail is not copied."""
+        """The report's JSONL line, the one place that lists its fields, as
+        ``json.dumps(..., sort_keys=True)`` writes them: filled in from the
+        verdict's cached pieces, so no record is built."""
         head, reason, kind = self.verdict._line_parts
         # the fields in sorted key order, as json.dumps writes them; filled in
         # directly, since JSONEncoder.encode sets up an encoder on every call.

@@ -7,13 +7,15 @@ Subcommands:
   show       print the variable matrix, rank matrix and pruned generators
   verify     run the brute-force cross-check suite
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
-3 resource limit.
+Each command returns its exit code and its output text, and raises on
+failure; ``main`` alone writes stdout and maps each failure to an exit code
+with one ``error:`` line on stderr.  Exit codes: 0 success, 1 verification
+mismatch, 2 invalid input, 3 resource limit or memory exhausted.  A reader
+that closes stdout early loses the text but not the command's exit code.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -32,6 +34,11 @@ EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
+# the failures a command raises, each mapped to its exit code; a ConsistencyError
+# (a verdict's exact re-check failed) is a verification mismatch
+FAILURES = {ValueError: EXIT_INVALID, ConsistencyError: EXIT_MISMATCH,
+            ResourceWarning: EXIT_RESOURCE, MemoryError: EXIT_RESOURCE}
+
 
 def _perm(text: str) -> Permutation:
     try:
@@ -47,67 +54,48 @@ def _config(args: argparse.Namespace) -> ClassifierConfig:
     )
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def _pair(args: argparse.Namespace) -> tuple[Permutation, Permutation]:
     if args.v.n != args.w.n:
-        print("error: v and w must have the same size", file=sys.stderr)
-        return EXIT_INVALID
-    report = classify(args.v, args.w, _config(args))
-    rec = report.to_record()
+        raise ValueError("v and w must have the same size")
+    return args.v, args.w
+
+
+def cmd_classify(args: argparse.Namespace) -> tuple[int, str]:
+    r = classify(*_pair(args), _config(args))
     if args.json:
-        print(json.dumps(rec, sort_keys=True))
-    else:
-        print(f"v={rec['v']} w={rec['w']}  verdict={rec['verdict']} ({rec['reason']})")
-        print(f"generators: {rec['gens_before']} defining, "
-              f"{rec['gens_after']} kept after pruning "
-              f"({rec['n_singular']} singular dropped), "
-              f"{rec['n_inhomogeneous']} inhomogeneous")
-        print(f"digest={rec['digest']}  wall={rec['wall_ms']}ms")
-    return EXIT_OK
+        return EXIT_OK, r.line() + "\n"
+    return EXIT_OK, (
+        f"v={r.v} w={r.w}  verdict={r.verdict.kind.value} ({r.verdict.reason})\n"
+        f"generators: {r.gens_before} defining, {r.gens_after} kept after pruning "
+        f"({r.n_singular} singular dropped), {r.n_inhomogeneous} inhomogeneous\n"
+        f"digest={r.verdict.digest()}  wall={round(r.wall_ms, 3)}ms\n")
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[int, str]:
     fmt = args.format
     if fmt is None:
         fmt = "jsonl" if (args.out or "").endswith(".jsonl") else "csv"
-    try:
-        census = sweep(args.n, _config(args), out=args.out, fmt=fmt,
-                       workers=args.workers, resume=args.resume)
-    except ResourceWarning as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    census = sweep(args.n, _config(args), out=args.out, fmt=fmt,
+                   workers=args.workers, resume=args.resume)
     total = sum(census.values())
     held = ""
     if args.resume and args.out:
         # sweep counts only the new pairs; the file now holds every pair
         held = f", {math.factorial(args.n) ** 2 - total} already in the file"
-    try:
-        print(f"{total} pairs classified{held}" + (f" -> {args.out}" if args.out else ""))
-        for verdict in sorted(census):
-            print(f"  {verdict}: {census[verdict]}")
-        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
-    except BrokenPipeError:
-        # the reader left early (klhom sweep ... | head) and the file is whole;
-        # Python flushes stdout at exit too ("Note on SIGPIPE", signal docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return EXIT_OK
+    lines = [f"{total} pairs classified{held}" + (f" -> {args.out}" if args.out else "")]
+    lines += [f"  {verdict}: {census[verdict]}" for verdict in sorted(census)]
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_show(args: argparse.Namespace) -> int:
-    v, w = args.v, args.w
-    if v.n != w.n:
-        print("error: v and w must have the same size", file=sys.stderr)
-        return EXIT_INVALID
+def cmd_show(args: argparse.Namespace) -> tuple[int, str]:
+    v, w = _pair(args)
     z = build_z(v)
-    print(f"Z matrix of v={v}:")
-    print(format_matrix(z))
-    print(f"\nrank matrix of w={w}:")
-    print(rank_matrix(w))
-    print("\nwindow rows kept per column:")
-    for t in range(1, w.n + 1):
-        print(f"  t={t}: raw heights {si_sequence_raw(w, t)} -> rows "
-              f"{relevant_rows_for_column(w, t)}")
+    lines = [f"Z matrix of v={v}:", format_matrix(z), f"\nrank matrix of w={w}:",
+             str(rank_matrix(w)), "\nwindow rows kept per column:"]
+    lines += [f"  t={t}: raw heights {si_sequence_raw(w, t)} -> rows "
+              f"{relevant_rows_for_column(w, t)}" for t in range(1, w.n + 1)]
     gens = pruned_defining_minors(v, w)
-    print(f"\npruned defining minors ({len(gens)}):")
+    lines.append(f"\npruned defining minors ({len(gens)}):")
     for m in gens.minors:
         if is_singular(m, z):
             status = "singular"
@@ -116,17 +104,15 @@ def cmd_show(args: argparse.Namespace) -> int:
             degrees = sorted(det.degrees())
             kind = "inhomogeneous" if is_inhomogeneous_det(m, z) else "homogeneous"
             status = f"{kind}, degrees {degrees}, det = {det}"
-        print(f"  {m} from windows {list(m.windows)}: {status}")
-    return EXIT_OK
+        lines.append(f"  {m} from windows {list(m.windows)}: {status}")
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     if args.n > 4:
-        print("error: the cross-check suite is budgeted for n <= 4", file=sys.stderr)
-        return EXIT_RESOURCE
+        raise ResourceWarning("the cross-check suite is budgeted for n <= 4")
     report = run_verification(args.n)
-    print(report.summary())
-    return EXIT_OK if report.passed else EXIT_MISMATCH
+    return EXIT_OK if report.passed else EXIT_MISMATCH, report.summary() + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,14 +169,20 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on bad input, which matches the contract
         return int(exc.code) if exc.code is not None else EXIT_INVALID
     try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ConsistencyError as exc:
-        # a verdict's exact re-check failed: a verification mismatch
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        code, text = args.func(args)
+    except tuple(FAILURES) as exc:
+        # a MemoryError usually carries no message of its own
+        message = f"out of memory {exc}".rstrip() if isinstance(exc, MemoryError) else exc
+        print(f"error: {message}", file=sys.stderr)
+        return next(c for kind, c in FAILURES.items() if isinstance(exc, kind))
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the reader left early (klhom ... | head); Python flushes stdout at
+        # exit too ("Note on SIGPIPE", signal docs), so point it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

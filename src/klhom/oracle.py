@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .minors import GeneratorSet, MinorSpec
-from .permutations import Permutation, rank_matrix
+from .minors import GeneratorSet, MinorSpec, enumerate_defining_minors, pruned_defining_minors
+from .permutations import Permutation, all_permutations, rank_matrix
 from .polynomials import Mono, Polynomial, mono_from_vars
-from .zmatrix import Cell, ZMatrix
+from .zmatrix import Cell, ZMatrix, build_z
 
 MAX_LAPLACE = 8
 
@@ -92,11 +92,27 @@ def brute_divisor_exists(a: MinorSpec, m_b: Mono, z: ZMatrix) -> bool:
     return False
 
 
+def brute_witness_holds(v: Permutation, w: Permutation, witness) -> bool:
+    """Re-check a ``classifier.InhomogeneityWitness`` by expansion: its
+    generator is a pruned minor with at least two homogeneous components, and
+    each listed term lies in its component and has no divisor among the terms
+    of the other nonzero pruned minors."""
+    z = build_z(v)
+    gens = [m for m in pruned_defining_minors(v, w).minors
+            if not laplace_determinant(m, z).is_zero]
+    if witness.generator not in gens:
+        return False
+    det = laplace_determinant(witness.generator, z)
+    comps = [det.degree_slice(d) for d in sorted(det.degrees(), reverse=True)]
+    if len(comps) < 2 or len(comps) != len(witness.per_component):
+        return False
+    return all(comp.coeff(mono) != 0 and
+               not any(brute_divisor_exists(g, mono, z) for g in gens if g != witness.generator)
+               for comp, mono in zip(comps, witness.per_component))
+
+
 def brute_homogeneity(v: Permutation, w: Permutation) -> dict[tuple, tuple[int, ...]]:
     """Degree spread of every pruned generator, keyed by (rows, cols)."""
-    from .minors import pruned_defining_minors
-    from .zmatrix import build_z
-
     if v.n > 6:
         raise ValueError("degree-spread oracle is guarded to n <= 6")
     z = build_z(v)
@@ -203,10 +219,6 @@ class OracleReport:
 
 def distinct_pruned_minors(n: int):
     """All (v, z, minor) with the minor pruned-defining for some w, deduplicated."""
-    from .minors import pruned_defining_minors
-    from .permutations import all_permutations
-    from .zmatrix import build_z
-
     for v in all_permutations(n):
         z = build_z(v)
         seen = set()
@@ -220,7 +232,7 @@ def distinct_pruned_minors(n: int):
 
 def check_rank_formulas(n: int) -> OracleReport:
     """Counting definition vs prefix-minima formula, all of S_n."""
-    from .permutations import all_permutations, rank_matrix_via_minima
+    from .permutations import rank_matrix_via_minima
 
     rep = OracleReport()
     for w in all_permutations(n):
@@ -233,7 +245,6 @@ def check_rank_formulas(n: int) -> OracleReport:
 def check_pruning_rule(n: int) -> OracleReport:
     """Bottom-up column scan vs local domination rules, all w and t."""
     from .minors import relevant_rows_for_column
-    from .permutations import all_permutations
 
     rep = OracleReport()
     for w in all_permutations(n):
@@ -286,10 +297,7 @@ def check_path_engine(n: int) -> OracleReport:
 
 def check_divisibility(n: int) -> OracleReport:
     """Structural cross-minor divisibility vs expansion scan."""
-    from .minors import pruned_defining_minors
     from .paths import exists_dividing_term_structural
-    from .permutations import all_permutations
-    from .zmatrix import build_z
 
     if n > 4:
         raise ValueError("divisibility cross-check is guarded to n <= 4")
@@ -321,9 +329,8 @@ def check_divisibility(n: int) -> OracleReport:
 def check_discard_rules(n: int) -> OracleReport:
     """Empty iff order-reversing; the closed-form minor count matches the
     enumeration; unit iff domination fails iff a +-1 generator."""
-    from .minors import defining_minor_count, enumerate_defining_minors, pruned_defining_minors
-    from .permutations import all_permutations, dominates, is_longest_element, rank_matrix
-    from .zmatrix import build_z
+    from .minors import defining_minor_count
+    from .permutations import dominates, is_longest_element
 
     rep = OracleReport()
     v0 = next(all_permutations(n))
@@ -352,9 +359,6 @@ def check_discard_rules(n: int) -> OracleReport:
 
 def check_pruning_soundness(pairs, strict: bool = True) -> OracleReport:
     """Discarded defining determinants rewrite exactly over the pruned set."""
-    from .minors import enumerate_defining_minors, pruned_defining_minors
-    from .zmatrix import build_z
-
     rep = OracleReport()
     for v, w in pairs:
         z = build_z(v)
@@ -399,10 +403,7 @@ def check_classifier(n: int) -> OracleReport:
     homogeneous ideal (the value-complement of the quoted 321/132 pair,
     which the exhaustive audits refute as literally stated).
     """
-    from .classifier import (ClassifierConfig, VerdictKind, classify,
-                             verify_inhomogeneity_witness, working_generators)
-    from .minors import GeneratorSet
-    from .permutations import all_permutations
+    from .classifier import ClassifierConfig, VerdictKind, classify
 
     if n > 4:
         raise ValueError("classifier cross-check is guarded to n <= 4")
@@ -416,9 +417,7 @@ def check_classifier(n: int) -> OracleReport:
             if kind is VerdictKind.INHOMOGENEOUS:
                 if not _contains_pattern(v, (1, 2, 3)) or not _contains_pattern(w, (3, 1, 2)):
                     rep.add("pattern-consistency", f"v={v} w={w}")
-                z, _, keep = working_generators(v, w)
-                gens = GeneratorSet(v, w, tuple(keep))
-                if not verify_inhomogeneity_witness(report.verdict.witness, gens, z):
+                if not brute_witness_holds(v, w, report.verdict.witness):
                     rep.add("witness", f"v={v} w={w}")
             # degree-spread oracle must agree with any homogeneity claim
             if kind in (VerdictKind.KNOWN_HOMOGENEOUS,) and report.gens_after:
@@ -430,10 +429,6 @@ def check_classifier(n: int) -> OracleReport:
 
 def run_verification(n: int) -> OracleReport:
     """The full cross-check suite at size n (n <= 4)."""
-    import itertools as _it
-
-    from .permutations import all_permutations
-
     rep = OracleReport()
     rep.merge(check_rank_formulas(n))
     rep.merge(check_pruning_rule(n))
@@ -441,6 +436,6 @@ def run_verification(n: int) -> OracleReport:
     rep.merge(check_divisibility(n))
     rep.merge(check_discard_rules(n))
     perms = list(all_permutations(min(n, 3)))
-    rep.merge(check_pruning_soundness(_it.product(perms, perms), strict=False))
+    rep.merge(check_pruning_soundness(itertools.product(perms, perms), strict=False))
     rep.merge(check_classifier(n))
     return rep

@@ -9,6 +9,7 @@ import pytest
 import klhom.classifier
 import klhom.cli
 import klhom.mutation
+import klhom.oracle
 from klhom.cli import EXIT_MISMATCH, main
 
 
@@ -16,6 +17,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_with_closed_stdout(*argv):
+    """Run klhom in a subprocess whose stdout pipe is closed before it writes
+    (klhom ... | head -c 0): its exit code and its stderr."""
+    src = str(Path(klhom.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "klhom.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": src},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err
 
 
 class TestClassify:
@@ -104,15 +118,7 @@ class TestSweep:
         # the reader of stdout is gone before the summary is printed
         # (klhom sweep ... | head -c 0): no traceback, exit 0, a whole file
         out_file = tmp_path / "s3.csv"
-        src = str(Path(klhom.__file__).resolve().parents[1])
-        proc = subprocess.Popen([sys.executable, "-m", "klhom.cli", "sweep", "--n", "3",
-                                 "--out", str(out_file)],
-                                env={**os.environ, "PYTHONPATH": src},
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert (proc.wait(timeout=120), err) == (0, b"")
+        assert run_with_closed_stdout("sweep", "--n", "3", "--out", str(out_file)) == (0, b"")
         assert len(out_file.read_bytes().splitlines()) == 1 + 36
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -192,6 +198,67 @@ def test_failed_recheck_is_a_mismatch(capsys, monkeypatch, argv):
     assert code == EXIT_MISMATCH
     assert err.startswith("error: rewriting certificate for component ")
     assert err.endswith(" failed re-verification\n")
+
+
+@pytest.mark.parametrize("argv", [["classify", "--v", "213", "--w", "132"],
+                                  ["sweep", "--n", "3", "--workers", "1"],
+                                  ["sweep", "--n", "3", "--workers", "2"]],
+                         ids=["classify", "sweep-1-worker", "sweep-2-workers"])
+def test_memory_error_is_a_resource_limit(capsys, monkeypatch, tmp_path, argv):
+    # classify runs out of memory on the pair (213, 132), the 14th of the S_3
+    # sweep: one error line, exit 3, and the two rows of v before it stay in
+    # the file, which --resume then completes; pool workers inherit the patch
+    real_classify = klhom.classifier.classify
+
+    def starved(v, w, *args):
+        if (str(v), str(w)) == ("213", "132"):
+            raise MemoryError()
+        return real_classify(v, w, *args)
+
+    monkeypatch.setattr(klhom.classifier, "classify", starved)
+    monkeypatch.setattr(klhom.cli, "classify", starved)
+    out_file = tmp_path / "s3.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out_file)]
+    assert run(capsys, *argv) == (3, "", "error: out of memory\n")
+    if argv[0] == "classify":
+        return
+    assert len(out_file.read_bytes().splitlines()) == 1 + 12
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *argv, "--resume")
+    assert code == 0
+    assert out.startswith(f"24 pairs classified, 12 already in the file -> {out_file}\n")
+    assert len(out_file.read_bytes().splitlines()) == 1 + 36
+
+
+@pytest.mark.parametrize("argv", [["show", "--v", "23451", "--w", "42531"],
+                                  ["classify", "--v", "123", "--w", "312"],
+                                  ["verify", "--n", "2"]],
+                         ids=["show", "classify", "verify"])
+def test_closed_stdout_exits_cleanly_for_every_command(argv):
+    # the reader of stdout is gone before the command writes: no traceback, exit 0
+    assert run_with_closed_stdout(*argv) == (0, b"")
+
+
+def test_closed_stdout_keeps_a_mismatch(monkeypatch, tmp_path):
+    # verify finds a mismatch and its reader is gone: still exit 1, not 0.
+    # The stand-in stdout lends a scratch file's descriptor for main to
+    # point at devnull
+    class Closed:
+        def __init__(self, fh):
+            self.fileno = fh.fileno
+
+        def write(self, *args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        flush = write
+
+    report = klhom.oracle.OracleReport(checked=1)
+    report.add("determinant", "a planted mismatch")
+    monkeypatch.setattr(klhom.cli, "run_verification", lambda n: report)
+    with (tmp_path / "stdout").open("w") as fh:
+        monkeypatch.setattr(sys, "stdout", Closed(fh))
+        assert main(["verify", "--n", "2"]) == EXIT_MISMATCH
 
 
 class TestShow:

@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+from klhom.classifier import ClassifierConfig, InhomogeneityWitness, classify
 from klhom.minors import GeneratorSet, MinorSpec, pruned_defining_minors
 from klhom.oracle import (OracleReport, ReductionError, brute_homogeneity, brute_paths,
-                          brute_si, laplace_determinant, reduce_over_generators,
-                          run_verification)
+                          brute_si, brute_witness_holds, laplace_determinant,
+                          reduce_over_generators, run_verification)
 from klhom.paths import determinant
 from klhom.permutations import Permutation, all_permutations
-from klhom.zmatrix import build_z
+from klhom.polynomials import mono_from_vars
+from klhom.zmatrix import Cell, build_z
 
 P = Permutation.parse
 
@@ -111,3 +113,30 @@ class TestReport:
         rep = run_verification(n)
         assert rep.passed, rep.summary()
         assert rep.checked == comparisons
+
+
+class TestBruteWitness:
+    def test_every_s4_witness_holds(self, s4_reports_no_shortcut):
+        witnesses = [(v, w, r.verdict.witness) for (v, w), r in s4_reports_no_shortcut.items()
+                     if r.verdict.witness is not None]
+        assert len(witnesses) == 31
+        assert all(brute_witness_holds(*vww) for vww in witnesses)
+
+    def test_forged_witness_fails(self):
+        # the forgery of test_witness_tampering_detected: a first component
+        # term that the witness generator's determinant does not hold
+        v, w = P("123"), P("312")
+        witness = classify(v, w, ClassifierConfig(pattern_shortcut=False)).verdict.witness
+        forged = InhomogeneityWitness(
+            witness.generator, (mono_from_vars([Cell(2, 1)]),) + witness.per_component[1:])
+        assert brute_witness_holds(v, w, witness)
+        assert not brute_witness_holds(v, w, forged)
+
+    def test_witness_with_a_divided_term_fails(self):
+        # the witness generator of (1234, 1423) is also a generator of the
+        # certified homogeneous pair (1234, 2143), whose other generators
+        # divide its listed terms
+        v = P("1234")
+        witness = classify(v, P("1423"), ClassifierConfig(pattern_shortcut=False)).verdict.witness
+        assert witness.generator in pruned_defining_minors(v, P("2143")).minors
+        assert not brute_witness_holds(v, P("2143"), witness)
