@@ -26,7 +26,6 @@ import csv
 import hashlib
 import io
 import json
-import multiprocessing
 import re
 import time
 from collections import Counter
@@ -378,8 +377,14 @@ def sweep(n: int, cfg: ClassifierConfig = ClassifierConfig(), out: str | Path | 
     census: Counter[str] = Counter()
     with contextlib.ExitStack() as stack:
         if workers > 1:
-            # imap, not imap_unordered: the rows are written in word order
-            rows = stack.enter_context(multiprocessing.Pool(workers)).imap(_classify_row, tasks)
+            # imported here, because it loads multiprocessing, which only a
+            # pool needs.  map yields the rows in word order; a worker killed
+            # by a signal raises BrokenProcessPool here, and on any failure
+            # the rows not yet started are cancelled, not run
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(workers)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            rows = pool.map(_classify_row, tasks)
         else:
             rows = map(_classify_row, tasks)
         # opened after the fork, so that no worker inherits the file's buffer

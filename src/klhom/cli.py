@@ -10,8 +10,9 @@ Subcommands:
 Each command returns its exit code and its output text, and raises on
 failure; ``main`` alone writes stdout and maps each failure to an exit code
 with one ``error:`` line on stderr.  Exit codes: 0 success, 1 verification
-mismatch, 2 invalid input, 3 resource limit or memory exhausted.  A reader
-that closes stdout early loses the text but not the command's exit code.
+mismatch, 2 invalid input, 3 resource limit, memory exhausted or a sweep
+worker killed.  A reader that closes stdout early loses the text but not the
+command's exit code.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 from .classifier import ClassifierConfig, classify, sweep
 from .errors import ConsistencyError
@@ -35,9 +37,13 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 # the failures a command raises, each mapped to its exit code; a ConsistencyError
-# (a verdict's exact re-check failed) is a verification mismatch
+# (a verdict's exact re-check failed) is a verification mismatch, and a
+# BrokenProcessPool (a sweep worker killed by a signal, as by the kernel's
+# out-of-memory killer) a resource limit.  It is matched by its base class,
+# whose module does not load multiprocessing
 FAILURES = {ValueError: EXIT_INVALID, ConsistencyError: EXIT_MISMATCH,
-            ResourceWarning: EXIT_RESOURCE, MemoryError: EXIT_RESOURCE}
+            ResourceWarning: EXIT_RESOURCE, MemoryError: EXIT_RESOURCE,
+            BrokenExecutor: EXIT_RESOURCE}
 
 
 def _perm(text: str) -> Permutation:

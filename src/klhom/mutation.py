@@ -11,9 +11,14 @@ term's own tail (which would loop), or when extending a multiplier would
 cancel one of its existing terms.
 
 Divisor choices are genuine choice points: a greedy pick can fail where
-another succeeds, so the driver backtracks over them within a node budget.
+another succeeds, so the search backtracks over them.  Three bounds end the
+search: the stage limit, a budget of choice vectors visited and a budget of
+terms built per run; the last ends the whole run at once, so that no node's
+terms (which can grow several-fold a stage) exhaust memory.
 A node's frontier (the terms that survive cancellation, with the admissible
 divisors of each) is computed once per node and shared by all its children.
+Cancellation groups the node's terms by monomial in one pass and sorts only
+the distinct monomials.
 Children at the depth limit are checked, not built.  The search reads none
 of such a child's terms: it ends the child as depth exhausted, unless the
 division that makes the child cancels a multiplier term, which stops it
@@ -21,11 +26,12 @@ abruptly.  So for each of its choice vectors the search only tests that
 cancellation against the parent's multipliers, and builds no cross terms,
 no ``StageTerm`` and no copied dict.  The leaves are visited in the same
 order and count against the branch budget as built nodes do.
-Below the nodes, each monomial's divisor scan and each division's quotient
-and cross terms run once per generator tuple, in one table.  A run looks the
-table up once, as does each stage-0 setup, and every node holds it; the
-lookup keeps the latest tuple's table, so the components of one pair share
-it.
+Below the nodes, each monomial's divisor scan, its admissible divisors for
+each exclusion, and each division's quotient and cross terms are computed
+once per generator tuple, in one table.  A run looks the table up once, as
+does each stage-0 setup, and every node holds it; the lookup keeps the
+latest tuple's table, so the components of one pair share it, and the
+table's entries live as long as it does.
 Each multiplier is an unordered ``{monomial: coefficient}`` dict.  A step
 copies only the dicts it extends and shares the rest with its parent, so no
 node's multipliers change once it is built; the certificate's polynomials
@@ -51,6 +57,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .polynomials import Coeff, Mono, Polynomial, mono_div, mono_mul, mono_sort_key
@@ -64,6 +71,8 @@ _STRENGTH = {TERMINATED: 2, ABRUPT_STOP: 1, DEPTH_EXHAUSTED: 0}
 
 # the choice vectors one run may visit, built as nodes or checked as leaves
 BRANCH_BUDGET = 256
+# the outstanding terms one run may build; past it the run ends at once
+TERM_BUDGET = 16384
 
 
 @dataclass(frozen=True)
@@ -75,8 +84,7 @@ class MutationConfig:
             raise ValueError(f"mutation depth must be >= 0, got {self.depth_limit}")
 
 
-@dataclass(frozen=True)
-class StageTerm:
+class StageTerm(NamedTuple):
     """A generated term tracked across stages.
 
     ``tail`` is the generator term whose product created this entry; it is
@@ -97,6 +105,8 @@ class MutationOutcome:
     # choice vectors the search visited within its branch budget, each one
     # built as a node or, at the depth limit, only checked; not compared
     nodes: int = field(default=0, compare=False)
+    # outstanding terms the run built, counted against TERM_BUDGET; not compared
+    terms: int = field(default=0, compare=False)
 
     @property
     def terminated(self) -> bool:
@@ -110,9 +120,10 @@ class MutationState:
     multipliers: tuple[dict[Mono, Coeff], ...]  # never mutated; a step copies what it extends
     outstanding: tuple[StageTerm, ...]
     stage: int
+    built: list[int]  # the terms built so far by the run, one count shared by all its states
 
     @cached_property
-    def _frontier(self) -> MutationOutcome | tuple[tuple[StageTerm, list], ...]:
+    def _frontier(self) -> MutationOutcome | tuple[tuple[StageTerm, tuple], ...]:
         """Each surviving term with its admissible divisors, or the outcome
         that ends the node; the state is immutable, so this is computed once."""
         alive = cancel_outstanding(self.outstanding)
@@ -134,9 +145,10 @@ class MutationState:
 
 class _GenTable:
     """What the search reads of one generator tuple, filled in on first use:
-    the generator terms dividing each monomial, and each quotient
-    ``mono / gm`` with the cross terms of the other terms of generator
-    ``gi``.  Every node and every run over the same tuple shares it."""
+    the generator terms dividing each monomial, the admissible ones for each
+    exclusion, each quotient ``mono / gm``, and each quotient with the cross
+    terms of the other terms of generator ``gi``.  Every node and every run
+    over the same tuple shares it."""
 
     def __init__(self, gens: tuple[Polynomial, ...]):
         self.gens = gens
@@ -145,6 +157,8 @@ class _GenTable:
             if gc != 1 and gc != -1:  # see the module docstring
                 raise ValueError(f"generator coefficient {gc} is not ±1 in {gens[gi]}")
         self._divisors: dict[Mono, tuple[tuple[int, Mono, Coeff], ...]] = {}
+        self._admissible: dict[tuple, tuple[tuple[int, Mono, Coeff], ...]] = {}
+        self._quotients: dict[tuple[Mono, Mono], Mono] = {}
         self._cross: dict[tuple[Mono, int, Mono], tuple[Mono, tuple]] = {}
 
     def divisors(self, mono: Mono) -> tuple[tuple[int, Mono, Coeff], ...]:
@@ -158,12 +172,26 @@ class _GenTable:
         return divs
 
     def admissible(self, mono: Mono, exclude_gen: int | None = None,
-                   exclude_term: tuple[int, Mono] | None = None) -> list[tuple[int, Mono, Coeff]]:
+                   exclude_term: tuple[int, Mono] | None = None
+                   ) -> tuple[tuple[int, Mono, Coeff], ...]:
         """:meth:`divisors` without the terms of generator ``exclude_gen``
         and without the generator term ``exclude_term``."""
-        xi, xm = exclude_term if exclude_term is not None else (None, None)
-        return [d for d in self.divisors(mono)
-                if d[0] != exclude_gen and not (d[0] == xi and d[1] == xm)]
+        key = (mono, exclude_gen, exclude_term)
+        divs = self._admissible.get(key)
+        if divs is None:
+            xi, xm = exclude_term if exclude_term is not None else (None, None)
+            divs = self._admissible[key] = tuple(
+                d for d in self.divisors(mono)
+                if d[0] != exclude_gen and not (d[0] == xi and d[1] == xm))
+        return divs
+
+    def quotient(self, mono: Mono, gm: Mono) -> Mono:
+        """``mono / gm`` for a generator term ``gm`` dividing ``mono``."""
+        key = (mono, gm)
+        mu = self._quotients.get(key)
+        if mu is None:
+            mu = self._quotients[key] = mono_div(mono, gm)
+        return mu
 
     def cross_terms(self, mono: Mono, gi: int, gm: Mono) -> tuple[Mono, tuple]:
         """``mono / gm`` and, for each other term ``oc * om`` of generator
@@ -171,7 +199,7 @@ class _GenTable:
         key = (mono, gi, gm)
         hit = self._cross.get(key)
         if hit is None:
-            mu = mono_div(mono, gm)
+            mu = self.quotient(mono, gm)
             hit = self._cross[key] = (mu, tuple(
                 (oc, mono_mul(mu, om), (gi, om)) for om, oc in self.gens[gi].terms()
                 if om != gm))
@@ -221,12 +249,21 @@ def cancel_outstanding(outstanding: tuple[StageTerm, ...]) -> tuple[StageTerm, .
 
     Terms are taken in (monomial, coefficient text) order; each one cancels
     the earliest live opposite term of its monomial, and the survivors keep
-    that order (their tails steer the next step).
+    that order (their tails steer the next step).  The terms are grouped by
+    monomial in one pass, so only the distinct monomials are sorted, and the
+    coefficient text only within a group of two or more terms (stably, so
+    equal texts keep their input order).
     """
-    remaining = sorted(outstanding, key=lambda t: (mono_sort_key(t.mono), str(t.coeff)))
+    groups: dict[Mono, list[StageTerm]] = {}
+    for term in outstanding:
+        groups.setdefault(term.mono, []).append(term)
     alive: list[StageTerm] = []
-    for _, run in itertools.groupby(remaining, key=lambda t: t.mono):
-        run = list(run)
+    for mono in sorted(groups, key=mono_sort_key):
+        run = groups[mono]
+        if len(run) == 1:
+            alive.append(run[0])
+            continue
+        run.sort(key=lambda t: str(t.coeff))
         live = [True] * len(run)
         waiting: dict[Coeff, list[int]] = {}  # coefficient -> live positions
         for pos, term in enumerate(run):
@@ -240,7 +277,7 @@ def cancel_outstanding(outstanding: tuple[StageTerm, ...]) -> tuple[StageTerm, .
 
 
 def _target_options(target: Polynomial, table: _GenTable,
-                    target_gen_index: int | None) -> MutationOutcome | list[list]:
+                    target_gen_index: int | None) -> MutationOutcome | list[tuple]:
     """The external divisors of each target term, or the outcome that ends
     stage 0 when some term has none."""
     options = []
@@ -256,9 +293,13 @@ def _target_options(target: Polynomial, table: _GenTable,
 def _expand(state: MutationState, entries, choices: tuple[int, ...] | None,
             next_stage: int, negate: bool) -> MutationState | MutationOutcome:
     """Divide each ``(coeff, mono, divisors)`` entry by its chosen divisor
-    (the first by default) and collect the cross terms as the next state."""
+    (the first by default) and collect the cross terms as the next state.
+    Each cross term counts against the run's ``TERM_BUDGET`` as it is built;
+    past the budget the expansion stops with a ``term-budget`` outcome at the
+    stage it started from."""
     picked = choices if choices is not None else itertools.repeat(0)
     table = state.table
+    built = state.built
     multipliers = state.multipliers
     outstanding: list[StageTerm] = []
     for (coeff, mono, divs), idx in zip(entries, picked):
@@ -269,23 +310,29 @@ def _expand(state: MutationState, entries, choices: tuple[int, ...] | None,
                                    reason="multiplier term cancelled")
         multipliers, new_terms = spawned
         outstanding.extend(new_terms)
-    return MutationState(state.target, table, multipliers, tuple(outstanding), next_stage)
+        built[0] += len(new_terms)
+        if built[0] > TERM_BUDGET:
+            return MutationOutcome(DEPTH_EXHAUSTED, state.stage, reason="term-budget")
+    return MutationState(state.target, table, multipliers, tuple(outstanding), next_stage, built)
 
 
 def stage0_setup(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, ...],
                  target_gen_index: int | None = None,
-                 choices: tuple[int, ...] | None = None) -> MutationState | MutationOutcome:
+                 choices: tuple[int, ...] | None = None,
+                 built: list[int] | None = None) -> MutationState | MutationOutcome:
     """Pick one external divisor per target term and open the ledger.
 
     ``choices`` selects among the admissible divisors per target term (in
-    canonical order); the default takes the first of each.
+    canonical order); the default takes the first of each.  ``built`` is the
+    run's count of terms built, which the new state and its descendants
+    share; the default starts a count of its own.
     """
     table = _gen_table(tuple(gens))  # raises ValueError unless every coefficient is ±1
     options = _target_options(target, table, target_gen_index)
     if isinstance(options, MutationOutcome):
         return options
     state = MutationState(target, table, multipliers=tuple({} for _ in table.gens),
-                          outstanding=(), stage=0)
+                          outstanding=(), stage=0, built=[0] if built is None else built)
     return _expand(state, ((coeff, mono, divs) for (mono, coeff), divs
                            in zip(target.terms(), options)),
                    choices, next_stage=0, negate=False)
@@ -332,11 +379,14 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     ``ConsistencyError`` naming the target if it fails; this is the only
     check a certificate gets.  Children at ``cfg.depth_limit`` are checked
     for a cancelled multiplier term instead of built; the outcome, and its
-    count of visited nodes, are those of building them.
+    count of visited nodes, are those of building them.  Three bounds end
+    the search: ``cfg.depth_limit`` on stages, ``BRANCH_BUDGET`` on visited
+    choice vectors and ``TERM_BUDGET`` on the terms built; past the last,
+    the run ends at once with the ``term-budget`` outcome.
     """
     table = _gen_table(tuple(gens))  # raises ValueError unless every coefficient is ±1
     gens = table.gens
-    nodes = [0]
+    nodes, built = [0], [0]
     budget = BRANCH_BUDGET
 
     def explore(counts: list[int], child, stage: int) -> MutationOutcome:
@@ -348,6 +398,8 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
                 break
             nxt = child(vector)
             out = nxt if isinstance(nxt, MutationOutcome) else explore_state(nxt)
+            if built[0] > TERM_BUDGET:
+                return out  # the term-budget outcome, passed up unchanged
             best = _stronger(best, out)
             if best.terminated:
                 break
@@ -359,11 +411,13 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
         DEPTH_EXHAUSTED unread, unless building it cancels a multiplier term
         (ABRUPT_STOP), so each choice vector only runs ``_add_multiplier``'s
         check over the parent's dicts.  No leaf terminates, so after the
-        first abort the vectors left only count."""
+        first abort the vectors left only count.  A leaf builds no term, so
+        none counts against ``TERM_BUDGET``."""
         multipliers = state.multipliers
+        quotient = state.table.quotient
         # per term and divisor: the multiplier term the division extends,
         # the parent's coefficient there, and the quotient's coefficient
-        moves = [[((gi, mu := mono_div(term.mono, gm)), multipliers[gi].get(mu, 0),
+        moves = [[((gi, mu := quotient(term.mono, gm)), multipliers[gi].get(mu, 0),
                    -term.coeff * gc)
                   for gi, gm, gc in divs]
                  for term, divs in frontier]
@@ -406,10 +460,10 @@ def run_mutation(target: Polynomial, gens: list[Polynomial] | tuple[Polynomial, 
     else:
         best = explore([len(divs) for divs in options],
                        lambda vector: stage0_setup(target, gens, target_gen_index,
-                                                   choices=vector),
+                                                   choices=vector, built=built),
                        0)
         outcome = MutationOutcome(best.status, best.stage, best.reason, best.certificate,
-                                  min(nodes[0], budget))
+                                  min(nodes[0], budget), built[0])
     if outcome.terminated and not verify_certificate(outcome, target, gens):
         raise ConsistencyError(
             f"rewriting certificate for component {target} failed re-verification")

@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +231,45 @@ def test_memory_error_is_a_resource_limit(capsys, monkeypatch, tmp_path, argv):
     assert code == 0
     assert out.startswith(f"24 pairs classified, 12 already in the file -> {out_file}\n")
     assert len(out_file.read_bytes().splitlines()) == 1 + 36
+
+
+def test_killed_worker_ends_the_sweep(capsys, monkeypatch, tmp_path):
+    # a pool worker killed by a signal (as the OOM killer does) on (2134,
+    # 1234), the first pair of the 7th row of v: exit 3 at once, not a hang.
+    # The rows before it that the other worker had not finished are lost
+    # with it, so the file holds whole rows, at most the first 6, which
+    # --resume then completes
+    real_classify = klhom.classifier.classify
+    parent = os.getpid()
+
+    def killed(v, w, *args):
+        if (str(v), str(w)) == ("2134", "1234") and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_classify(v, w, *args)
+
+    def hung(*args):
+        raise TimeoutError("the sweep did not end after its worker was killed")
+
+    monkeypatch.setattr(klhom.classifier, "classify", killed)
+    out_file = tmp_path / "s4.csv"
+    before = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        code, out, err = run(capsys, "sweep", "--n", "4", "--workers", "2", "--out", str(out_file))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert multiprocessing.active_children() == []
+    held = len(out_file.read_bytes().splitlines()) - 1
+    assert held % 24 == 0 and held <= 6 * 24
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "sweep", "--n", "4", "--workers", "2", "--out", str(out_file),
+                       "--resume")
+    assert code == 0
+    assert out.startswith(f"{576 - held} pairs classified, {held} already in the file")
+    assert len(out_file.read_bytes().splitlines()) == 1 + 576
 
 
 @pytest.mark.parametrize("argv", [["show", "--v", "23451", "--w", "42531"],

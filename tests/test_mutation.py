@@ -14,7 +14,7 @@ from klhom.mutation import (ABRUPT_STOP, DEPTH_EXHAUSTED, TERMINATED, MutationCo
 from klhom.oracle import laplace_determinant
 from klhom.paths import determinant, homogeneous_components, is_inhomogeneous_det
 from klhom.permutations import Permutation
-from klhom.polynomials import Polynomial, mono_divides, mono_from_vars, mono_sort_key
+from klhom.polynomials import Polynomial, mono_div, mono_divides, mono_from_vars, mono_sort_key
 
 
 def poly(*terms):
@@ -208,6 +208,48 @@ class TestRunMutation:
             entry(TARGET, gens)
 
 
+# x1 is not in <x1-x2, x2-x3, x3-x1>: every node holds one term, so a run
+# over these builds one term per node, stage 0 included
+CYCLIC = (poly((1, "x1"), (-1, "x2")), poly((1, "x2"), (-1, "x3")), poly((1, "x3"), (-1, "x1")))
+
+
+class TestTermBudget:
+    """``TERM_BUDGET`` bounds the terms one run builds; past it the run ends
+    at once as depth exhausted, with reason ``term-budget``."""
+
+    def test_leaves_build_no_terms(self):
+        # two stage-0 children of one term each, and their two children at
+        # the depth limit checked, not built
+        out = run_mutation(poly((1, "x1")), CYCLIC, MutationConfig(depth_limit=1))
+        assert (out.status, out.nodes, out.terms) == (DEPTH_EXHAUSTED, 4, 2)
+
+    def test_run_ends_past_the_budget(self, monkeypatch):
+        full = run_mutation(poly((1, "x1")), CYCLIC)
+        assert (full.nodes, full.terms) == (18, 16)
+        monkeypatch.setattr(mutation, "TERM_BUDGET", 5)
+        out = run_mutation(poly((1, "x1")), CYCLIC)
+        assert (out.status, out.stage, out.reason) == (DEPTH_EXHAUSTED, 4, "term-budget")
+        assert (out.nodes, out.terms) == (6, 6)
+
+    def test_s4_terms_built_per_run(self, s4_reports_no_shortcut):
+        # the most terms any S_4 run builds (the n=5 maximum is 10,660, below
+        # the budget, so no n <= 5 verdict meets it)
+        built = []
+        for (v, w), report in s4_reports_no_shortcut.items():
+            if report.verdict.kind.value in REWRITTEN:
+                built += [run_mutation(target, gens, target_gen_index=idx).terms
+                          for target, gens, idx in component_runs(v, w)]
+        assert max(built) == 12
+
+    def test_s6_blow_up_stops_at_the_budget(self):
+        # each node of this pair holds 7 times its parent's terms, 823,543 at
+        # stage 6; without the budget the run exhausts memory
+        report = classify(Permutation.parse("123465"), Permutation.parse("534162"),
+                          ClassifierConfig(pattern_shortcut=False))
+        assert (report.verdict.kind, report.verdict.reason) == (
+            VerdictKind.UNDETERMINED, "depth_exhausted@stage3:term-budget")
+
+
 class TestCertificates:
     def test_verify_rejects_tampering(self):
         out = run_mutation(TARGET, HARNESS, target_gen_index=2)
@@ -308,18 +350,36 @@ harness_monos = st.lists(st.integers(0, 2), min_size=4, max_size=4).map(
     lambda exps: tuple((v, e) for v, e in zip(HARNESS_VARS, exps) if e))
 
 
-class TestGeneratorTable:
-    """The divisor and cross-term table of a generator tuple is shared by
-    every node and run over that tuple; it must answer as a fresh scan does."""
+harness_lookups = st.lists(st.tuples(harness_monos, st.sampled_from([None, 0, 1, 2]),
+                                     st.sampled_from([None] + HARNESS_TERMS)),
+                           min_size=1, max_size=6)
 
-    @given(st.permutations(range(len(HARNESS))), harness_monos,
-           st.sampled_from([None, 0, 1, 2]), st.sampled_from([None] + HARNESS_TERMS))
-    def test_divisors_match_a_brute_scan(self, order, mono, exclude_gen, exclude_term):
+
+class TestGeneratorTable:
+    """The divisor, quotient and cross-term table of a generator tuple is
+    shared by every node and run over that tuple; it must answer as a fresh
+    scan does."""
+
+    @given(st.permutations(range(len(HARNESS))), harness_lookups)
+    def test_divisors_match_a_brute_scan(self, order, lookups):
+        # the lookups run twice over, so every answer is read once as it is
+        # stored and again from the table, after the other lookups
         gens = tuple(HARNESS[i] for i in order)
-        if exclude_term is not None:
-            exclude_term = (order.index(exclude_term[0]), exclude_term[1])
-        assert mutation._gen_table(gens).admissible(mono, exclude_gen, exclude_term) \
-            == brute_divisors(mono, gens, exclude_gen, exclude_term)
+        table = mutation._gen_table(gens)
+        for mono, exclude_gen, exclude_term in lookups * 2:
+            if exclude_term is not None:
+                exclude_term = (order.index(exclude_term[0]), exclude_term[1])
+            assert table.admissible(mono, exclude_gen, exclude_term) \
+                == tuple(brute_divisors(mono, gens, exclude_gen, exclude_term))
+
+    @given(harness_monos)
+    def test_stored_quotient_is_mono_div(self, mono):
+        table = mutation._gen_table(HARNESS)
+        divs = table.divisors(mono)
+        for _ in range(2):
+            for gi, gm, _ in divs:
+                assert table.quotient(mono, gm) == mono_div(mono, gm)
+                assert table.cross_terms(mono, gi, gm)[0] == mono_div(mono, gm)
 
     def test_every_node_holds_the_roots_table(self, certified_tree):
         # the run looks the table up once; no node looks it up again
@@ -483,6 +543,10 @@ SEARCH_TREES = [
     ("23145", "53142", 256, "undetermined", "depth_exhausted@stage8:", "a95259d9d16f"),
     ("13245", "51432", 256, "undetermined",
      "abrupt_stop@stage7:multiplier term cancelled", "0710658b8288"),
+    # classify-s5-deep's heavy pair and a pair of its middle stratum: their
+    # last runs build 3,744 and 1,020 terms, up to 500 and 256 in one node
+    ("21354", "52431", 9, "undetermined", "depth_exhausted@stage8:", "a95259d9d16f"),
+    ("13254", "43152", 14, "undetermined", "depth_exhausted@stage8:", "a95259d9d16f"),
 ]
 
 
